@@ -10,7 +10,7 @@
 use recharge_sim::DischargeLevel;
 use recharge_units::Priority;
 
-use crate::experiments::common::{msb_scenario, paper_counts, Deployment};
+use crate::experiments::common::{msb_scenario, paper_counts, par_map, Deployment};
 use crate::{fast_mode, ExperimentReport, Table};
 
 /// Sweeps limits below the paper's capping threshold with and without the
@@ -32,7 +32,12 @@ pub fn run() -> ExperimentReport {
         "racks deferred",
         "P1 met (postpone)",
     ]);
-    for &limit_mw in &limits {
+    // Every (limit, postponing) run is independent: one queue on every core.
+    let points: Vec<(f64, bool)> = limits
+        .iter()
+        .flat_map(|&limit_mw| [(limit_mw, false), (limit_mw, true)])
+        .collect();
+    let runs = par_map(&points, |&(limit_mw, postpone)| {
         let base = msb_scenario(
             counts,
             limit_mw,
@@ -41,8 +46,16 @@ pub fn run() -> ExperimentReport {
             None,
             0xE071,
         );
-        let without = base.clone().build().run();
-        let with = base.allow_postponing().build().run();
+        if postpone {
+            base.allow_postponing()
+        } else {
+            base
+        }
+        .build()
+        .run()
+    });
+    for (&limit_mw, pair) in limits.iter().zip(runs.chunks_exact(2)) {
+        let (without, with) = (&pair[0], &pair[1]);
         let scale = 316.0 / with.rack_outcomes.len().max(1) as f64;
         let deferred = with
             .rack_outcomes

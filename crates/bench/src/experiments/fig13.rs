@@ -6,7 +6,7 @@
 
 use recharge_sim::{DischargeLevel, RunMetrics};
 
-use crate::experiments::common::{msb_scenario, paper_counts, Deployment};
+use crate::experiments::common::{msb_scenario, paper_counts, par_map, Deployment};
 use crate::{ExperimentReport, Table};
 
 /// One of the six Fig 13 cases under one deployment.
@@ -38,26 +38,27 @@ pub fn cases() -> [(&'static str, f64, DischargeLevel); 6] {
     ]
 }
 
-/// Runs all six cases under all three deployments (18 simulations).
+/// Runs all six cases under all three deployments (18 simulations, on
+/// every core; results come back in case-then-deployment order).
 #[must_use]
 pub fn results() -> Vec<CaseResult> {
     let counts = paper_counts();
-    let mut out = Vec::new();
-    for (case, limit_mw, discharge) in cases() {
-        for deployment in Deployment::ALL {
-            let metrics = msb_scenario(counts, limit_mw, discharge, deployment, None, 0xF13)
-                .build()
-                .run();
-            out.push(CaseResult {
-                case,
-                limit_mw,
-                discharge,
-                deployment,
-                metrics,
-            });
+    let points: Vec<_> = cases()
+        .into_iter()
+        .flat_map(|case| Deployment::ALL.map(|deployment| (case, deployment)))
+        .collect();
+    par_map(&points, |&((case, limit_mw, discharge), deployment)| {
+        let metrics = msb_scenario(counts, limit_mw, discharge, deployment, None, 0xF13)
+            .build()
+            .run();
+        CaseResult {
+            case,
+            limit_mw,
+            discharge,
+            deployment,
+            metrics,
         }
-    }
-    out
+    })
 }
 
 /// Renders the Fig 13 report from fresh runs.

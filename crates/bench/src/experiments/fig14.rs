@@ -5,7 +5,7 @@ use recharge_dynamo::Strategy;
 use recharge_sim::DischargeLevel;
 use recharge_units::Priority;
 
-use crate::experiments::common::{msb_scenario, paper_counts, Deployment};
+use crate::experiments::common::{msb_scenario, paper_counts, par_map, Deployment};
 use crate::{fast_mode, ExperimentReport, Table};
 
 /// The swept full-scale limits: 2.6 MW down to 2.2 MW.
@@ -21,18 +21,25 @@ pub fn limits_mw() -> Vec<f64> {
     v
 }
 
-/// Runs one sweep of SLA attainment for a strategy at a discharge level over
-/// the given counts, returning `(limit, met_p1, met_p2, met_p3)` rows.
-#[must_use]
-pub fn sweep(
-    counts: (usize, usize, usize),
-    strategy: Strategy,
-    discharge: DischargeLevel,
-    seed: u64,
-) -> Vec<(f64, usize, usize, usize)> {
-    limits_mw()
-        .into_iter()
-        .map(|limit_mw| {
+/// One SLA-attainment sweep: the rack counts, strategy, discharge level and
+/// trace seed it runs at, over every limit of [`limits_mw`].
+pub(crate) type SweepSpec = ((usize, usize, usize), Strategy, DischargeLevel, u64);
+
+/// One sweep row: `(limit, met_p1, met_p2, met_p3)`.
+pub(crate) type SweepRow = (f64, usize, usize, usize);
+
+/// Runs sweeps of SLA attainment as one queue of independent points on
+/// every core, returning each sweep's `(limit, met_p1, met_p2, met_p3)` rows
+/// in the order the specs were given.
+pub(crate) fn sweeps(specs: &[SweepSpec]) -> Vec<Vec<SweepRow>> {
+    let limits = limits_mw();
+    let points: Vec<(SweepSpec, f64)> = specs
+        .iter()
+        .flat_map(|&spec| limits.iter().map(move |&limit_mw| (spec, limit_mw)))
+        .collect();
+    let rows = par_map(
+        &points,
+        |&((counts, strategy, discharge, seed), limit_mw)| {
             let metrics = msb_scenario(
                 counts,
                 limit_mw,
@@ -49,7 +56,10 @@ pub fn sweep(
                 metrics.sla_summary(Priority::P2).met,
                 metrics.sla_summary(Priority::P3).met,
             )
-        })
+        },
+    );
+    rows.chunks(limits.len().max(1))
+        .map(<[SweepRow]>::to_vec)
         .collect()
 }
 
@@ -57,7 +67,7 @@ pub fn sweep(
 pub(crate) fn render_sweep(
     label: &str,
     counts: (usize, usize, usize),
-    rows: &[(f64, usize, usize, usize)],
+    rows: &[SweepRow],
 ) -> String {
     let mut table = Table::new(&["limit (MW)", "P1 met", "P2 met", "P3 met", "total"]);
     for &(limit, p1, p2, p3) in rows {
@@ -76,13 +86,21 @@ pub(crate) fn render_sweep(
 #[must_use]
 pub fn run() -> ExperimentReport {
     let counts = paper_counts();
-    let mut sections = Vec::new();
-    for (dl, name) in [
+    let levels = [
         (DischargeLevel::Medium, "medium"),
         (DischargeLevel::High, "high"),
-    ] {
-        let aware = sweep(counts, Strategy::PriorityAware, dl, 0xF14);
-        let global = sweep(counts, Strategy::Global, dl, 0xF14);
+    ];
+    let specs: Vec<SweepSpec> = levels
+        .iter()
+        .flat_map(|&(dl, _)| {
+            [Strategy::PriorityAware, Strategy::Global].map(|s| (counts, s, dl, 0xF14))
+        })
+        .collect();
+    let mut results = sweeps(&specs).into_iter();
+    let mut sections = Vec::new();
+    for (_, name) in levels {
+        let aware = results.next().unwrap_or_default();
+        let global = results.next().unwrap_or_default();
         sections.push(render_sweep(
             &format!("priority-aware charging, {name} discharge:"),
             counts,

@@ -5,7 +5,7 @@ use recharge_dynamo::Strategy;
 use recharge_sim::DischargeLevel;
 
 use crate::experiments::common::paper_counts;
-use crate::experiments::fig14::{render_sweep, sweep};
+use crate::experiments::fig14::{render_sweep, sweeps, SweepSpec};
 use crate::ExperimentReport;
 
 /// Runs the Fig 15 distribution study.
@@ -17,22 +17,32 @@ pub fn run() -> ExperimentReport {
     let even = (third, third, total - 2 * third);
     let all_p1 = (total, 0, 0);
 
-    let mut sections = Vec::new();
-    let mut averages = Vec::new();
-    for (counts, name) in [
+    let distributions = [
         (even, "evenly distributed (thirds)"),
         (all_p1, "all racks P1"),
-    ] {
-        for (strategy, label) in [
-            (Strategy::PriorityAware, "priority-aware"),
-            (Strategy::Global, "global"),
-        ] {
-            let rows = sweep(counts, strategy, DischargeLevel::Medium, 0xF15);
-            let avg_total: f64 = rows.iter().map(|r| (r.1 + r.2 + r.3) as f64).sum::<f64>()
-                / rows.len().max(1) as f64;
-            averages.push((name, label, avg_total));
-            sections.push(render_sweep(&format!("{name}, {label}:"), counts, &rows));
-        }
+    ];
+    let strategies = [
+        (Strategy::PriorityAware, "priority-aware"),
+        (Strategy::Global, "global"),
+    ];
+    let specs: Vec<SweepSpec> = distributions
+        .iter()
+        .flat_map(|&(counts, _)| {
+            strategies.map(|(strategy, _)| (counts, strategy, DischargeLevel::Medium, 0xF15))
+        })
+        .collect();
+    let results = sweeps(&specs);
+
+    let mut sections = Vec::new();
+    let mut averages = Vec::new();
+    let labelled = distributions
+        .iter()
+        .flat_map(|&(counts, name)| strategies.map(|(_, label)| (counts, name, label)));
+    for ((counts, name, label), rows) in labelled.zip(&results) {
+        let avg_total: f64 =
+            rows.iter().map(|r| (r.1 + r.2 + r.3) as f64).sum::<f64>() / rows.len().max(1) as f64;
+        averages.push((name, label, avg_total));
+        sections.push(render_sweep(&format!("{name}, {label}:"), counts, rows));
     }
 
     let all_p1_aware = averages
@@ -49,17 +59,12 @@ pub fn run() -> ExperimentReport {
         f64::INFINITY
     };
     // The paper's 3× claim lives in the constrained region where the global
-    // uniform rate falls below the P1 requirement: compare there directly.
-    let aware_rows = sweep(
-        all_p1,
-        Strategy::PriorityAware,
-        DischargeLevel::Medium,
-        0xF15,
-    );
-    let global_rows = sweep(all_p1, Strategy::Global, DischargeLevel::Medium, 0xF15);
+    // uniform rate falls below the P1 requirement: compare there directly,
+    // on the all-P1 sweeps above (the last two specs).
+    let (aware_rows, global_rows) = (&results[2], &results[3]);
     let constrained: Vec<String> = aware_rows
         .iter()
-        .zip(&global_rows)
+        .zip(global_rows)
         .filter(|(a, _)| a.0 <= 2.45)
         .map(|(a, g)| format!("  {:.2} MW: priority-aware {} vs global {}", a.0, a.1, g.1))
         .collect();

@@ -609,10 +609,9 @@ impl FleetBackend for EventShardedBackend {
     }
 
     fn readings(&self) -> Vec<PowerReading> {
-        self.order
-            .iter()
-            .map(|&(s, slot)| self.state(s).shard.read(slot))
-            .collect()
+        let mut readings = Vec::new();
+        self.read_all_into(&mut readings);
+        readings
     }
 
     fn bus_mut(&mut self) -> &mut dyn AgentBus {
@@ -631,6 +630,16 @@ impl AgentBus for EventShardedBackend {
     fn read(&self, rack: RackId) -> Option<PowerReading> {
         let &(s, slot) = self.index.get(&rack)?;
         Some(self.state(s).shard.read(slot))
+    }
+
+    /// Fleet order straight off `order`, no per-rack `index` lookup.
+    fn read_all_into(&self, out: &mut Vec<PowerReading>) {
+        out.clear();
+        out.extend(
+            self.order
+                .iter()
+                .map(|&(s, slot)| self.state(s).shard.read(slot)),
+        );
     }
 
     fn set_charge_override(&mut self, rack: RackId, current: Amperes) {

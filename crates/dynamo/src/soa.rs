@@ -604,12 +604,9 @@ impl FleetBackend for SoaBackend {
     }
 
     fn readings(&self) -> Vec<PowerReading> {
-        // `order` replays the original fleet order, whatever the grouping
-        // pass did to the shard layout.
-        self.order
-            .iter()
-            .map(|&(s, slot)| self.shards[s].read(slot))
-            .collect()
+        let mut readings = Vec::new();
+        self.read_all_into(&mut readings);
+        readings
     }
 
     fn bus_mut(&mut self) -> &mut dyn AgentBus {
@@ -628,6 +625,18 @@ impl AgentBus for SoaBackend {
     fn read(&self, rack: RackId) -> Option<PowerReading> {
         let &(s, slot) = self.index.get(&rack)?;
         Some(self.shards[s].read(slot))
+    }
+
+    /// Walks the slots in fleet order — `order` replays the original agent
+    /// order whatever the grouping pass did to the shard layout — with no
+    /// per-rack `index` lookup. Every listed rack is reachable.
+    fn read_all_into(&self, out: &mut Vec<PowerReading>) {
+        out.clear();
+        out.extend(
+            self.order
+                .iter()
+                .map(|&(s, slot)| self.shards[s].read(slot)),
+        );
     }
 
     fn set_charge_override(&mut self, rack: RackId, current: Amperes) {

@@ -140,6 +140,13 @@ struct ClientInner {
 /// Interior mutability (one mutex around the connection) lets `read` keep
 /// the trait's `&self` signature; the controller is single-threaded per bus,
 /// so the lock is uncontended in practice.
+///
+/// [`AgentBus::read_all_into`] keeps the trait's per-rack default here on
+/// purpose: on this wire a partition or a dropped frame hits one rack's
+/// `Read`, and each `Read` renews that rack's lease, so a controller gather
+/// stays one contact per rack. A bulk `ReadAllReadings` would need per-rack
+/// partition and lease semantics first; the sharded bus batches because
+/// each of its shard links already fails as a whole.
 pub struct RpcBus {
     endpoint: Endpoint,
     config: RpcBusConfig,

@@ -36,6 +36,7 @@
 //! [`install_panic_blackbox_hook`] was called) writes the merged timeline as
 //! a JSON document to `<path>`; `recharge-ops explain` reconstructs it.
 
+use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once};
@@ -429,7 +430,8 @@ static RECORDER_SINKS: Mutex<Vec<SharedRing>> = Mutex::new(Vec::new());
 static RECORDER_ENABLED: AtomicBool = AtomicBool::new(true);
 static OVERWRITTEN: AtomicU64 = AtomicU64::new(0);
 /// Ambient logical time (seconds as f64 bits) stamped onto events recorded
-/// from code that has no `now` in scope (the core assignment kernels).
+/// from code that has no `now` in scope (the core assignment kernels): the
+/// last time set by any thread, read by threads that never set their own.
 static AMBIENT_NOW: AtomicU64 = AtomicU64::new(0);
 /// Latch: only the first black-box trigger writes the dump.
 static BLACKBOX_FIRED: AtomicBool = AtomicBool::new(false);
@@ -443,6 +445,9 @@ thread_local! {
             .push(Arc::clone(&ring));
         ring
     };
+    /// This thread's ambient time, once it has set one: simulations running
+    /// side by side on different threads each stamp their own clock.
+    static LOCAL_NOW: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
 /// Turns the flight recorder on or off globally. Unlike the span tracer it
@@ -460,11 +465,24 @@ pub fn recorder_enabled() -> bool {
 
 /// Sets the ambient logical time stamped onto events recorded without an
 /// explicit time (controllers call this at the top of every tick).
+///
+/// The time is per thread, so concurrent simulations (a parallel sweep)
+/// never stamp each other's events. A thread that never sets one — a
+/// client worker serving the simulation thread — stamps the last time set
+/// anywhere.
 #[inline]
 pub fn set_flight_now(secs: f64) {
     if recorder_enabled() {
-        AMBIENT_NOW.store(secs.to_bits(), Ordering::Relaxed);
+        let bits = secs.to_bits();
+        AMBIENT_NOW.store(bits, Ordering::Relaxed);
+        LOCAL_NOW.with(|now| now.set(Some(bits)));
     }
+}
+
+fn ambient_now_bits() -> u64 {
+    LOCAL_NOW
+        .with(Cell::get)
+        .unwrap_or_else(|| AMBIENT_NOW.load(Ordering::Relaxed))
 }
 
 /// Events overwritten because a thread's ring wrapped.
@@ -497,7 +515,7 @@ pub fn flight(
         return;
     }
     push_event(FlightEvent {
-        at_bits: AMBIENT_NOW.load(Ordering::Relaxed),
+        at_bits: ambient_now_bits(),
         kind,
         reason,
         priority,
@@ -867,6 +885,41 @@ mod tests {
             let merged = take_flight_events();
             assert_eq!(merged, expected, "round {round} diverged");
         }
+    }
+
+    #[test]
+    fn ambient_time_is_per_thread_with_a_global_fallback() {
+        let _g = test_support::guard();
+        let _ = take_flight_events();
+        set_recorder_enabled(true);
+        // Two "simulations" tick side by side: each journals at its own
+        // clock however the threads interleave.
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for (rack, secs) in [(61u32, 100.0), (62, 200.0)] {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    set_flight_now(secs);
+                    barrier.wait();
+                    flight(FlightKind::Admit, ReasonCode::AdmitFloor, rack, 1, 0, 0, 0);
+                });
+            }
+        });
+        // A thread that never set a time stamps the last one set anywhere.
+        set_flight_now(300.0);
+        std::thread::spawn(|| flight(FlightKind::Cap, ReasonCode::CapLastResort, 63, 1, 0, 0, 0))
+            .join()
+            .unwrap();
+        let at = |rack: u32| {
+            snapshot_flight_events()
+                .iter()
+                .find(|e| e.rack == rack)
+                .map(FlightEvent::at)
+        };
+        assert_eq!(at(61), Some(100.0));
+        assert_eq!(at(62), Some(200.0));
+        assert_eq!(at(63), Some(300.0));
+        let _ = take_flight_events();
     }
 
     #[test]
