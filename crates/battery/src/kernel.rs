@@ -120,7 +120,7 @@ pub fn charge_step(
 /// accrues. Dividing the charge still missing to the threshold by that
 /// ceiling can therefore only *under*-estimate the time to the event:
 /// discrete stepping with any `dt` cannot observe the event strictly before
-/// the returned time (property-tested). The event-driven backend uses this
+/// the returned time (property-tested). The SoA engine may use this
 /// as a safe horizon — never as permission to skip state it would otherwise
 /// have computed, since the accumulated float series is step-size dependent.
 ///

@@ -16,7 +16,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use recharge_core::SlaCurrentPolicy;
-use recharge_dynamo::{FleetBackendKind, SimRackAgent, Strategy};
+use recharge_dynamo::{FleetBackend, SerialBackend, SimRackAgent, SoaBackend, Strategy};
 use recharge_reliability::{table1, AorSimulation, PhysicalAorSimulation};
 use recharge_sim::{DischargeLevel, Scenario};
 use recharge_trace::{CampusFleet, RackPowerTrace};
@@ -129,104 +129,6 @@ fn memoized_policy() -> Pair {
     }
 }
 
-fn sharded_sim(cores: usize) -> Pair {
-    let base = Scenario::row(3, 2, 2, 7)
-        .power_limit(Watts::from_kilowatts(190.0))
-        .strategy(Strategy::PriorityAware)
-        .discharge(DischargeLevel::Low)
-        .tick(Seconds::new(1.0))
-        .max_horizon(Seconds::from_hours(2.5));
-    let (serial, serial_secs) = time(|| base.clone().build().run());
-    let (sharded, fast_secs) = time(|| base.clone().shards(cores).build().run());
-    Pair {
-        name: "sharded_sim",
-        serial_secs,
-        fast_secs,
-        identical: serial == sharded,
-    }
-}
-
-/// The batched-submission probe: the same sharded scenario stepped per tick
-/// (one channel round-trip per shard per sub-step) versus batched (one
-/// round-trip per shard per control interval), with the serial backend as the
-/// equivalence reference. Gates only on bit-identical metrics — the speedup
-/// column is informational, so the probe stays green on a single core where
-/// threading measures pure coordination overhead.
-struct BackendProbe {
-    serial_secs: f64,
-    per_tick_secs: f64,
-    batched_secs: f64,
-    shards: usize,
-    control_every: usize,
-    identical: bool,
-}
-
-fn backend_probe() -> BackendProbe {
-    let shards = 2;
-    let control_every = 20;
-    let base = || {
-        Scenario::row(3, 2, 2, 7)
-            .power_limit(Watts::from_kilowatts(190.0))
-            .strategy(Strategy::PriorityAware)
-            .discharge(DischargeLevel::Low)
-            .tick(Seconds::new(1.0))
-            .max_horizon(Seconds::from_hours(2.5))
-            .control_every(control_every)
-    };
-    let (serial, serial_secs) = time(|| base().build().run());
-    let (per_tick, per_tick_secs) = time(|| base().shards(shards).build().run());
-    let (batched, batched_secs) = time(|| base().shards_batched(shards).build().run());
-    BackendProbe {
-        serial_secs,
-        per_tick_secs,
-        batched_secs,
-        shards,
-        control_every,
-        identical: per_tick == serial && batched == serial,
-    }
-}
-
-impl BackendProbe {
-    fn emit(&self, out_dir: &Path, cores: usize) -> std::io::Result<()> {
-        let speedup = self.per_tick_secs / self.batched_secs.max(1e-12);
-        let mut json = String::new();
-        let _ = writeln!(json, "{{");
-        let _ = writeln!(json, "  \"benchmark\": \"backend\",");
-        let _ = writeln!(json, "  \"serial_secs\": {:.6},", self.serial_secs);
-        let _ = writeln!(json, "  \"per_tick_secs\": {:.6},", self.per_tick_secs);
-        let _ = writeln!(json, "  \"batched_secs\": {:.6},", self.batched_secs);
-        let _ = writeln!(json, "  \"batched_speedup\": {speedup:.3},");
-        let _ = writeln!(json, "  \"shards\": {},", self.shards);
-        let _ = writeln!(json, "  \"control_every\": {},", self.control_every);
-        let _ = writeln!(
-            json,
-            "  \"round_trips_per_interval_per_tick\": {},",
-            self.shards * self.control_every
-        );
-        let _ = writeln!(
-            json,
-            "  \"round_trips_per_interval_batched\": {},",
-            self.shards
-        );
-        let _ = writeln!(json, "  \"identical\": {},", self.identical);
-        let _ = writeln!(json, "  \"cores\": {cores}");
-        let _ = writeln!(json, "}}");
-        let path = out_dir.join("BENCH_backend.json");
-        std::fs::write(&path, json)?;
-        println!(
-            "backend: serial {:.3}s, per-tick {:.3}s, batched {:.3}s \
-             (speedup {speedup:.2}x, {} vs {} round-trips/interval), identical: {}",
-            self.serial_secs,
-            self.per_tick_secs,
-            self.batched_secs,
-            self.shards * self.control_every,
-            self.shards,
-            self.identical
-        );
-        Ok(())
-    }
-}
-
 /// The telemetry pair: what do the disabled-path no-ops cost inside the tick
 /// loop, and what does an instrumented run actually record?
 ///
@@ -256,27 +158,46 @@ fn telemetry_probe() -> TelemetryProbe {
             .max_horizon(Seconds::from_hours(2.5))
     };
 
+    // Both timings below are the median of `REPEATS` runs: a tick of this
+    // 7-rack scenario lasts about a microsecond, so the scheduling noise of
+    // a single run swings the ratio by half the gate.
+    const REPEATS: usize = 5;
+    let median = |mut runs: Vec<f64>| {
+        runs.sort_by(f64::total_cmp);
+        runs[runs.len() / 2]
+    };
+
     // Per-op cost of the disabled fast path: one span guard + one counter
     // increment, the pair every instrumented site pays when telemetry is off.
     recharge_telemetry::set_enabled(false);
     const SPAN_OPS: u32 = 2_000_000;
-    let (_, disabled_secs) = time(|| {
-        for _ in 0..SPAN_OPS {
-            let _span = recharge_telemetry::tspan!("bench.noop", "bench");
-            recharge_telemetry::tcounter!("bench.noop_ops").inc();
-        }
-    });
-    let per_op_ns = disabled_secs * 1e9 / f64::from(SPAN_OPS);
+    let per_op_ns = median(
+        (0..REPEATS)
+            .map(|_| {
+                let (_, disabled_secs) = time(|| {
+                    for _ in 0..SPAN_OPS {
+                        let _span = recharge_telemetry::tspan!("bench.noop", "bench");
+                        recharge_telemetry::tcounter!("bench.noop_ops").inc();
+                    }
+                });
+                disabled_secs * 1e9 / f64::from(SPAN_OPS)
+            })
+            .collect(),
+    );
 
-    // Telemetry-off wall time per tick for the sharded small scenario.
-    let (_, run_secs) = time(|| scenario().shards(2).build().run());
+    // Telemetry-off wall time per tick for the small scenario.
+    let run_secs = median(
+        (0..REPEATS)
+            .map(|_| time(|| scenario().build().run()).1)
+            .collect(),
+    );
 
     // Instrumented run: counts real ops per tick and yields the snapshot +
     // trace that BENCH_telemetry.json publishes.
     recharge_telemetry::set_enabled(true);
     recharge_telemetry::reset_metrics();
     let _ = recharge_telemetry::take_records();
-    let metrics = scenario().shards(2).build().run();
+    let metrics = scenario().build().run();
     let _ = AorSimulation::new(table1::standard_sources()).run_trials(50.0, 4, 9);
     let records = recharge_telemetry::take_records();
     let snapshot = recharge_telemetry::snapshot();
@@ -369,7 +290,6 @@ fn obs_probe() -> ObsProbe {
             .discharge(DischargeLevel::Low)
             .tick(Seconds::new(1.0))
             .max_horizon(Seconds::from_hours(2.5))
-            .shards(2)
     };
     recharge_telemetry::set_enabled(false);
 
@@ -713,22 +633,23 @@ impl ShardedNetProbe {
     }
 }
 
-/// The campus-scale probe: the struct-of-arrays kernel stepped over a
+/// The campus-scale probe: the struct-of-arrays engine stepped over a
 /// ≥100k-rack campus (317 paper MSB rows), with the object path timed on the
 /// same schedule for the speedup headline.
 ///
-/// Wall-clock throughput is core-count dependent, so on this probe the gates
-/// are core-count *independent*: (1) the SoA readings after the schedule are
-/// bit-identical to the object path's at full campus scale, (2) a small
-/// full-simulation run produces bit-identical `RunMetrics` on the serial,
-/// SoA, and sharded-SoA backends, and (3) the SoA kernel's ns-per-rack-step
-/// stays within a generous single-core budget. Racks × ticks/sec and the
-/// speedup over the object path are reported for reference.
+/// The gates are core-count *independent*: (1) the SoA readings after the
+/// schedule are bit-identical to the object path's at full campus scale,
+/// (2) a small full-simulation run produces bit-identical `RunMetrics` on
+/// the serial and SoA backends, and (3) the SoA engine's ns per *executed*
+/// rack sub-step stays within a generous single-core budget — dividing by
+/// the sub-steps the engine actually ran, so quiescence skipping cannot
+/// flatter it. Racks × ticks/sec and the speedup over the object path are
+/// reported for reference.
 struct ScaleProbe {
     racks: usize,
     substeps: usize,
+    substeps_executed: u64,
     soa_secs: f64,
-    soa_sharded_secs: f64,
     object_secs: f64,
     ns_per_rack_step: f64,
     identical_at_scale: bool,
@@ -742,7 +663,7 @@ const SCALE_NS_BUDGET: f64 = 2_000.0;
 /// The tentpole floor: the probe must exercise at least this many racks.
 const SCALE_RACKS_GATE: usize = 100_000;
 
-fn scale_probe(cores: usize) -> ScaleProbe {
+fn scale_probe() -> ScaleProbe {
     // 317 paper rows × 316 racks = 100,172 racks — just past the 100k floor.
     let campus = CampusFleet::paper_campus(317, 41);
     let agents: Vec<SimRackAgent> = campus
@@ -764,19 +685,12 @@ fn scale_probe(cores: usize) -> ScaleProbe {
         Watts::from_kilowatts(5.5 + 0.25 * f64::from(rack.index() % 8) + 0.01 * (i % 16) as f64)
     };
 
-    let mut soa = FleetBackendKind::Soa.build(agents.clone());
+    let mut soa = SoaBackend::new(agents.clone());
     let ((), soa_secs) = time(|| soa.step_schedule(Seconds::new(1.0), &schedule, &load));
-    let mut soa_sharded = FleetBackendKind::SoaSharded {
-        shards: cores.max(2),
-    }
-    .build(agents.clone());
-    let ((), soa_sharded_secs) =
-        time(|| soa_sharded.step_schedule(Seconds::new(1.0), &schedule, &load));
-    let mut object = FleetBackendKind::Serial.build(agents);
+    let mut object = SerialBackend::new(agents);
     let ((), object_secs) = time(|| object.step_schedule(Seconds::new(1.0), &schedule, &load));
 
-    let reference = object.readings();
-    let identical_at_scale = soa.readings() == reference && soa_sharded.readings() == reference;
+    let identical_at_scale = soa.readings() == object.readings();
 
     // Full-simulation equivalence at a size the object path can afford: the
     // controller, telemetry sampling, and metrics pipeline all ride on top of
@@ -789,10 +703,10 @@ fn scale_probe(cores: usize) -> ScaleProbe {
             .max_horizon(Seconds::new(600.0))
     };
     let serial_metrics = sim().build().run();
-    let sim_identical = sim().soa().build().run() == serial_metrics
-        && sim().soa_sharded(2).build().run() == serial_metrics;
+    let sim_identical = sim().soa().build().run() == serial_metrics;
 
-    let ns_per_rack_step = soa_secs * 1e9 / (racks * substeps) as f64;
+    let substeps_executed = soa.substeps_executed();
+    let ns_per_rack_step = soa_secs * 1e9 / substeps_executed.max(1) as f64;
     let pass = identical_at_scale
         && sim_identical
         && racks >= SCALE_RACKS_GATE
@@ -800,8 +714,8 @@ fn scale_probe(cores: usize) -> ScaleProbe {
     ScaleProbe {
         racks,
         substeps,
+        substeps_executed,
         soa_secs,
-        soa_sharded_secs,
         object_secs,
         ns_per_rack_step,
         identical_at_scale,
@@ -821,12 +735,12 @@ impl ScaleProbe {
         let _ = writeln!(json, "  \"racks\": {},", self.racks);
         let _ = writeln!(json, "  \"racks_gate\": {SCALE_RACKS_GATE},");
         let _ = writeln!(json, "  \"substeps\": {},", self.substeps);
-        let _ = writeln!(json, "  \"soa_secs\": {:.6},", self.soa_secs);
         let _ = writeln!(
             json,
-            "  \"soa_sharded_secs\": {:.6},",
-            self.soa_sharded_secs
+            "  \"rack_substeps_executed\": {},",
+            self.substeps_executed
         );
+        let _ = writeln!(json, "  \"soa_secs\": {:.6},", self.soa_secs);
         let _ = writeln!(json, "  \"object_secs\": {:.6},", self.object_secs);
         let _ = writeln!(json, "  \"soa_speedup_over_object\": {speedup:.3},");
         let _ = writeln!(
@@ -863,9 +777,10 @@ impl ScaleProbe {
     }
 }
 
-/// The event-stepping pair: the event-driven backend must be bit-identical
-/// to a dense run of the same scenario AND execute at least 5x fewer rack
-/// sub-steps on the paper diurnal profile. A 4 h warmup puts most of the
+/// The event-stepping pair: the SoA engine must be bit-identical to a dense
+/// run of the same scenario (the serial backend, which steps every rack on
+/// every sub-step) AND execute at least 5x fewer rack sub-steps on the paper
+/// diurnal profile. A 4 h warmup puts most of the
 /// horizon in the quiet wall-power regime the scheduler is built to skip;
 /// the counters come from the backend itself (executed + skipped always
 /// equals the dense sub-step count, so the dense denominator needs no
@@ -892,7 +807,7 @@ fn event_probe() -> EventProbe {
             .warmup(Seconds::from_hours(4.0))
             .max_horizon(Seconds::from_hours(2.5))
     };
-    let (dense, dense_secs) = time(|| scenario().soa().build().run());
+    let (dense, dense_secs) = time(|| scenario().build().run());
 
     // Counters gate on the global enable flag; RunMetrics are bit-identical
     // with telemetry on or off, so flipping it between runs is safe.
@@ -903,7 +818,7 @@ fn event_probe() -> EventProbe {
     let executed_before = executed_counter.value();
     let skipped_before = skipped_counter.value();
     let events_before = events_counter.value();
-    let (event, event_secs) = time(|| scenario().event_driven().build().run());
+    let (event, event_secs) = time(|| scenario().soa().build().run());
     let substeps_executed = executed_counter.value() - executed_before;
     let substeps_skipped = skipped_counter.value() - skipped_before;
     let events_fired = events_counter.value() - events_before;
@@ -966,177 +881,10 @@ impl EventProbe {
     }
 }
 
-/// Shard count the sharded event backend is probed at.
-const EVENT_SHARDED_SHARDS: usize = 4;
-
-/// Racks in the probe scenario (`Scenario::row(3, 2, 2, _)`), used to turn
-/// the dense sub-step count back into a batch count.
-const EVENT_SHARDED_RACKS: u64 = 3 + 2 + 2;
-
-/// Per-batch coordination budget for the sharded event backend, in
-/// microseconds: frame building, channel handoff, the latch barrier, and
-/// post-batch journaling across all shards. Generous on purpose — the gate
-/// exists to catch regressions to per-rack or per-sub-step coordination
-/// work, not to benchmark thread wakeup latency on a shared CI runner.
-const EVENT_SHARDED_COORD_BUDGET_US: f64 = 500.0;
-
-/// The sharded event backend triple: bit-identical to both the dense SoA
-/// run and the single-threaded event backend, a sub-step reduction at least
-/// as large as the single-threaded backend's, and coordination overhead
-/// within [`EVENT_SHARDED_COORD_BUDGET_US`] per batch. All three gates are
-/// core-count-independent: on a 1-CPU runner the parallel run records pure
-/// coordination tax (never a speedup), and the gates still measure exactly
-/// the properties the backend promises.
-struct EventShardedProbe {
-    dense_secs: f64,
-    event_secs: f64,
-    sharded_secs: f64,
-    substeps_dense: u64,
-    substeps_executed: u64,
-    substeps_skipped: u64,
-    offered_replays: u64,
-    events_fired: u64,
-    reduction_event: f64,
-    reduction_sharded: f64,
-    batches: u64,
-    coord_overhead_us_per_batch: f64,
-    identical: bool,
-    ok: bool,
-}
-
-fn event_sharded_probe() -> EventShardedProbe {
-    let scenario = || {
-        Scenario::row(3, 2, 2, 7)
-            .power_limit(Watts::from_kilowatts(190.0))
-            .strategy(Strategy::PriorityAware)
-            .discharge(DischargeLevel::Low)
-            .tick(Seconds::new(1.0))
-            .warmup(Seconds::from_hours(4.0))
-            .max_horizon(Seconds::from_hours(2.5))
-    };
-    let (dense, dense_secs) = time(|| scenario().soa().build().run());
-
-    recharge_telemetry::set_enabled(true);
-    let executed_counter = recharge_telemetry::counter("sim.rack_substeps");
-    let skipped_counter = recharge_telemetry::counter("sim.ticks_skipped");
-    let events_counter = recharge_telemetry::counter("sim.events_fired");
-    let replays_counter = recharge_telemetry::counter("sim.offered_replays");
-
-    let event_executed_before = executed_counter.value();
-    let (event, event_secs) = time(|| scenario().event_driven().build().run());
-    let event_executed = executed_counter.value() - event_executed_before;
-
-    let executed_before = executed_counter.value();
-    let skipped_before = skipped_counter.value();
-    let events_before = events_counter.value();
-    let replays_before = replays_counter.value();
-    let (sharded, sharded_secs) =
-        time(|| scenario().event_sharded(EVENT_SHARDED_SHARDS).build().run());
-    let substeps_executed = executed_counter.value() - executed_before;
-    let substeps_skipped = skipped_counter.value() - skipped_before;
-    let events_fired = events_counter.value() - events_before;
-    let offered_replays = replays_counter.value() - replays_before;
-    recharge_telemetry::set_enabled(false);
-
-    let substeps_dense = substeps_executed + substeps_skipped;
-    let reduction_event = substeps_dense as f64 / event_executed.max(1) as f64;
-    let reduction_sharded = substeps_dense as f64 / substeps_executed.max(1) as f64;
-    // One batch per control interval; the probe's control cadence is every
-    // tick, so batches is exactly the dense per-rack sub-step count.
-    let batches = substeps_dense / EVENT_SHARDED_RACKS;
-    let coord_overhead_us_per_batch =
-        (sharded_secs - event_secs).max(0.0) * 1e6 / batches.max(1) as f64;
-    let identical = sharded == dense && event == dense;
-    EventShardedProbe {
-        dense_secs,
-        event_secs,
-        sharded_secs,
-        substeps_dense,
-        substeps_executed,
-        substeps_skipped,
-        offered_replays,
-        events_fired,
-        reduction_event,
-        reduction_sharded,
-        batches,
-        coord_overhead_us_per_batch,
-        identical,
-        ok: identical
-            && reduction_sharded >= reduction_event
-            && coord_overhead_us_per_batch <= EVENT_SHARDED_COORD_BUDGET_US,
-    }
-}
-
-impl EventShardedProbe {
-    fn emit(&self, out_dir: &Path, cores: usize) -> std::io::Result<()> {
-        let mut json = String::new();
-        let _ = writeln!(json, "{{");
-        let _ = writeln!(json, "  \"benchmark\": \"event_sharded\",");
-        let _ = writeln!(json, "  \"cores\": {cores},");
-        let _ = writeln!(json, "  \"shards\": {EVENT_SHARDED_SHARDS},");
-        let _ = writeln!(json, "  \"dense_secs\": {:.6},", self.dense_secs);
-        let _ = writeln!(json, "  \"event_secs\": {:.6},", self.event_secs);
-        let _ = writeln!(json, "  \"sharded_secs\": {:.6},", self.sharded_secs);
-        let _ = writeln!(json, "  \"rack_substeps_dense\": {},", self.substeps_dense);
-        let _ = writeln!(
-            json,
-            "  \"rack_substeps_executed\": {},",
-            self.substeps_executed
-        );
-        let _ = writeln!(
-            json,
-            "  \"rack_substeps_skipped\": {},",
-            self.substeps_skipped
-        );
-        let _ = writeln!(json, "  \"offered_replays\": {},", self.offered_replays);
-        let _ = writeln!(json, "  \"events_fired\": {},", self.events_fired);
-        let _ = writeln!(
-            json,
-            "  \"substep_reduction_event\": {:.3},",
-            self.reduction_event
-        );
-        let _ = writeln!(
-            json,
-            "  \"substep_reduction_sharded\": {:.3},",
-            self.reduction_sharded
-        );
-        let _ = writeln!(json, "  \"batches\": {},", self.batches);
-        let _ = writeln!(
-            json,
-            "  \"coord_overhead_us_per_batch\": {:.3},",
-            self.coord_overhead_us_per_batch
-        );
-        let _ = writeln!(
-            json,
-            "  \"coord_budget_us_per_batch\": {EVENT_SHARDED_COORD_BUDGET_US},"
-        );
-        let _ = writeln!(json, "  \"metrics_identical\": {},", self.identical);
-        let _ = writeln!(json, "  \"pass\": {}", self.ok);
-        let _ = writeln!(json, "}}");
-        let path = out_dir.join("BENCH_event_sharded.json");
-        std::fs::write(&path, json)?;
-        println!(
-            "event_sharded: {} of {} sub-steps executed on {} shards \
-             ({:.1}x vs {:.1}x single-threaded), {:.1} us/batch coordination \
-             over {} batches, identical: {}, pass: {}",
-            self.substeps_executed,
-            self.substeps_dense,
-            EVENT_SHARDED_SHARDS,
-            self.reduction_sharded,
-            self.reduction_event,
-            self.coord_overhead_us_per_batch,
-            self.batches,
-            self.identical,
-            self.ok
-        );
-        Ok(())
-    }
-}
-
 /// The controller-HA probe: hot-standby control plane cost and failover
 /// behaviour.
 ///
-/// Gates on three claims from the HA design (DESIGN.md §17): the fault-free
+/// Gates on three claims from the HA design (DESIGN.md §15): the fault-free
 /// hot-standby run is bit-identical to the single-controller run; the
 /// steady-state replication cost — serializing the paper-scale MSB brain,
 /// amortized over the snapshot cadence — is at most 2 % of a simulation
@@ -1407,7 +1155,6 @@ fn main() -> ExitCode {
         parallel_montecarlo(cores),
         parallel_physical_aor(cores),
         memoized_policy(),
-        sharded_sim(cores),
     ];
     let mut ok = true;
     for pair in &pairs {
@@ -1425,21 +1172,6 @@ fn main() -> ExitCode {
             ),
         );
     }
-
-    let backend = backend_probe();
-    if let Err(e) = backend.emit(&out_dir, cores) {
-        eprintln!("failed to write BENCH_backend.json: {e}");
-        ok = false;
-    }
-    ok &= backend.identical;
-    summary.push(
-        "backend",
-        backend.identical,
-        format!(
-            "\"batched_speedup\": {:.3}",
-            backend.per_tick_secs / backend.batched_secs.max(1e-12)
-        ),
-    );
 
     let probe = telemetry_probe();
     if let Err(e) = probe.emit(&out_dir) {
@@ -1500,7 +1232,7 @@ fn main() -> ExitCode {
         ),
     );
 
-    let scale = scale_probe(cores);
+    let scale = scale_probe();
     if let Err(e) = scale.emit(&out_dir, cores) {
         eprintln!("failed to write BENCH_scale.json: {e}");
         ok = false;
@@ -1525,21 +1257,6 @@ fn main() -> ExitCode {
         "event",
         event.ok,
         format!("\"substep_reduction\": {:.3}", event.reduction),
-    );
-
-    let event_sharded = event_sharded_probe();
-    if let Err(e) = event_sharded.emit(&out_dir, cores) {
-        eprintln!("failed to write BENCH_event_sharded.json: {e}");
-        ok = false;
-    }
-    ok &= event_sharded.ok;
-    summary.push(
-        "event_sharded",
-        event_sharded.ok,
-        format!(
-            "\"substep_reduction\": {:.3}, \"coord_overhead_us_per_batch\": {:.3}",
-            event_sharded.reduction_sharded, event_sharded.coord_overhead_us_per_batch
-        ),
     );
 
     let ha = ha_probe();

@@ -4,28 +4,27 @@
 //! live: advance the physics over a schedule of sub-steps, read back the
 //! fleet's telemetry, and hand the controller an [`AgentBus`]. The
 //! [`FleetBackend`] trait captures exactly that surface, so the loop is
-//! agnostic to whether agents are stepped serially in-process
-//! ([`SerialBackend`]), on sharded worker threads ([`ShardedBackend`]), or —
-//! in the future — behind an async or remote transport.
+//! agnostic to how agents are stepped. Two in-process engines implement it:
+//! [`SerialBackend`] steps agent objects one rack at a time and is the
+//! reference, and [`SoaBackend`] steps flat per-rack arrays and skips
+//! quiescent racks. The RPC backends in `recharge-net` implement it over a
+//! wire, stepping hosted agents in [`SerialBackend`]'s per-agent order.
 //!
-//! All backends are **bit-identical**: a backend chooses *who* executes the
-//! per-agent `set_offered_load → set_input_power → step` sequence and how
-//! many channel round-trips a schedule costs, never what the sequence
-//! computes. [`FleetBackendKind`] is the serializable selector a
-//! scenario carries.
+//! All backends are **bit-identical**: a backend chooses *how* the per-agent
+//! `set_offered_load → set_input_power → step` sequence is executed, never
+//! what the sequence computes. [`FleetBackendKind`] is the serializable
+//! selector a scenario carries.
 
 use std::fmt;
 use std::str::FromStr;
 
+use recharge_telemetry::tspan;
 use recharge_units::{RackId, Seconds, SimTime, Watts};
 
 use crate::agent::{RackAgent, SimRackAgent};
 use crate::bus::{AgentBus, InMemoryBus};
-use crate::event::EventDrivenBackend;
-use crate::event_sharded::EventShardedBackend;
 use crate::messages::PowerReading;
 use crate::soa::SoaBackend;
-use crate::threaded::ThreadedFleet;
 
 /// Where rack agents execute, and how sub-step schedules reach them.
 ///
@@ -109,6 +108,7 @@ impl FleetBackend for SerialBackend {
         input_power: &[bool],
         load_of: &dyn Fn(RackId, usize) -> Watts,
     ) {
+        let _span = tspan!("fleet.step_schedule", "fleet");
         for (i, &power) in input_power.iter().enumerate() {
             for &rack in &self.racks {
                 if let Some(agent) = self.bus.agent_mut(rack) {
@@ -129,108 +129,23 @@ impl FleetBackend for SerialBackend {
     }
 }
 
-/// Steps agents on [`ThreadedFleet`] shard workers.
-///
-/// With `batched` set, a whole schedule travels as **one** channel round-trip
-/// per shard ([`ThreadedFleet::step_batch`]); otherwise each sub-step is
-/// submitted individually — the per-tick cadence the batched path is measured
-/// against. Results are bit-identical either way.
-pub struct ShardedBackend {
-    fleet: ThreadedFleet,
-    batched: bool,
-}
-
-impl ShardedBackend {
-    /// Spawns `shards` workers over the agents (the count clamps to
-    /// `[1, agents.len()]`).
-    #[must_use]
-    pub fn new(agents: Vec<SimRackAgent>, shards: usize, batched: bool) -> Self {
-        ShardedBackend {
-            fleet: ThreadedFleet::spawn(agents, shards),
-            batched,
-        }
-    }
-}
-
-impl FleetBackend for ShardedBackend {
-    fn name(&self) -> &'static str {
-        if self.batched {
-            "sharded-batched"
-        } else {
-            "sharded"
-        }
-    }
-
-    fn step_schedule(
-        &mut self,
-        dt: Seconds,
-        input_power: &[bool],
-        load_of: &dyn Fn(RackId, usize) -> Watts,
-    ) {
-        if self.batched {
-            self.fleet.step_batch(dt, input_power, load_of);
-        } else {
-            for (i, &power) in input_power.iter().enumerate() {
-                self.fleet
-                    .step_batch(dt, &[power], |rack, _| load_of(rack, i));
-            }
-        }
-    }
-
-    fn readings(&self) -> Vec<PowerReading> {
-        self.fleet
-            .racks()
-            .into_iter()
-            .filter_map(|r| self.fleet.read(r))
-            .collect()
-    }
-
-    fn bus_mut(&mut self) -> &mut dyn AgentBus {
-        &mut self.fleet
-    }
-}
-
 /// The backend selector a scenario carries: which [`FleetBackend`] to build
 /// for a fleet of agents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FleetBackendKind {
-    /// In-process serial stepping ([`SerialBackend`]); the default.
+    /// In-process serial stepping ([`SerialBackend`]); the default and the
+    /// reference every other backend is pinned to.
     #[default]
     Serial,
-    /// Sharded worker threads, one channel round-trip per sub-step.
-    Sharded {
-        /// Worker-thread count (clamped to `[1, agents.len()]` at build).
-        shards: usize,
-    },
-    /// Sharded worker threads, one channel round-trip per schedule.
-    ShardedBatched {
-        /// Worker-thread count (clamped to `[1, agents.len()]` at build).
-        shards: usize,
-    },
-    /// Struct-of-arrays physics kernel, stepped in one serial pass
-    /// ([`SoaBackend::new`]).
+    /// The struct-of-arrays engine ([`SoaBackend`]): flat per-rack arrays,
+    /// quiescent racks fast-forward instead of stepping.
     Soa,
-    /// Struct-of-arrays physics kernel sharded over scoped threads
-    /// ([`SoaBackend::sharded`]).
-    SoaSharded {
-        /// Shard count (clamped to `[1, agents.len()]` at build).
-        shards: usize,
-    },
-    /// Event-driven stepping over the SoA arrays
-    /// ([`EventDrivenBackend`](crate::EventDrivenBackend)): quiescent racks
-    /// fast-forward instead of stepping. Bit-identical to every dense
-    /// backend.
-    Event,
-    /// Event-driven stepping sharded over persistent worker threads
-    /// ([`EventShardedBackend`](crate::EventShardedBackend)): one scheduler
-    /// and active list per SoA shard, wake sources merged at the
-    /// coordinator. Bit-identical to every other backend.
-    EventSharded {
-        /// Shard/worker-thread count (clamped to `[1, agents.len()]` at
-        /// build).
-        shards: usize,
-    },
 }
+
+/// Every string [`FleetBackendKind`] parses, in the order the parse error
+/// lists them. `"event"` is an alias for [`FleetBackendKind::Soa`], which
+/// absorbed the event-driven engine.
+const ACCEPTED: [&str; 3] = ["serial", "soa", "event"];
 
 impl FleetBackendKind {
     /// Builds the backend over the given agents.
@@ -238,35 +153,17 @@ impl FleetBackendKind {
     pub fn build(self, agents: Vec<SimRackAgent>) -> Box<dyn FleetBackend> {
         match self {
             FleetBackendKind::Serial => Box::new(SerialBackend::new(agents)),
-            FleetBackendKind::Sharded { shards } => {
-                Box::new(ShardedBackend::new(agents, shards, false))
-            }
-            FleetBackendKind::ShardedBatched { shards } => {
-                Box::new(ShardedBackend::new(agents, shards, true))
-            }
             FleetBackendKind::Soa => Box::new(SoaBackend::new(agents)),
-            FleetBackendKind::SoaSharded { shards } => {
-                Box::new(SoaBackend::sharded(agents, shards))
-            }
-            FleetBackendKind::Event => Box::new(EventDrivenBackend::new(agents)),
-            FleetBackendKind::EventSharded { shards } => {
-                Box::new(EventShardedBackend::new(agents, shards))
-            }
         }
     }
 }
 
 impl fmt::Display for FleetBackendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FleetBackendKind::Serial => write!(f, "serial"),
-            FleetBackendKind::Sharded { shards } => write!(f, "sharded:{shards}"),
-            FleetBackendKind::ShardedBatched { shards } => write!(f, "sharded-batched:{shards}"),
-            FleetBackendKind::Soa => write!(f, "soa"),
-            FleetBackendKind::SoaSharded { shards } => write!(f, "soa-sharded:{shards}"),
-            FleetBackendKind::Event => write!(f, "event"),
-            FleetBackendKind::EventSharded { shards } => write!(f, "event-sharded:{shards}"),
-        }
+        f.write_str(match self {
+            FleetBackendKind::Serial => "serial",
+            FleetBackendKind::Soa => "soa",
+        })
     }
 }
 
@@ -281,9 +178,7 @@ impl fmt::Display for ParseBackendKindError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown backend kind {:?} (expected \"serial\", \"sharded:N\", \
-             \"sharded-batched:N\", \"soa\", \"soa-sharded:N\", \"event\", or \
-             \"event-sharded:N\")",
+            "unknown backend kind {:?} (expected one of {ACCEPTED:?})",
             self.text
         )
     }
@@ -295,35 +190,11 @@ impl FromStr for FleetBackendKind {
     type Err = ParseBackendKindError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let reject = || ParseBackendKindError { text: s.to_owned() };
-        if s == "serial" {
-            return Ok(FleetBackendKind::Serial);
+        match s {
+            "serial" => Ok(FleetBackendKind::Serial),
+            "soa" | "event" => Ok(FleetBackendKind::Soa),
+            _ => Err(ParseBackendKindError { text: s.to_owned() }),
         }
-        // The longer prefix first: "sharded-batched:2" also starts with
-        // "sharded" and must not fall into the plain sharded arm.
-        if let Some(count) = s.strip_prefix("sharded-batched:") {
-            let shards = count.parse().map_err(|_| reject())?;
-            return Ok(FleetBackendKind::ShardedBatched { shards });
-        }
-        if let Some(count) = s.strip_prefix("sharded:") {
-            let shards = count.parse().map_err(|_| reject())?;
-            return Ok(FleetBackendKind::Sharded { shards });
-        }
-        if s == "soa" {
-            return Ok(FleetBackendKind::Soa);
-        }
-        if let Some(count) = s.strip_prefix("soa-sharded:") {
-            let shards = count.parse().map_err(|_| reject())?;
-            return Ok(FleetBackendKind::SoaSharded { shards });
-        }
-        if s == "event" {
-            return Ok(FleetBackendKind::Event);
-        }
-        if let Some(count) = s.strip_prefix("event-sharded:") {
-            let shards = count.parse().map_err(|_| reject())?;
-            return Ok(FleetBackendKind::EventSharded { shards });
-        }
-        Err(reject())
     }
 }
 
@@ -343,116 +214,58 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_on_a_mixed_schedule() {
-        let schedule: Vec<bool> = (0..8).map(|i| i % 5 != 2).collect();
-        let load = |rack: RackId, i: usize| {
-            Watts::from_kilowatts(5.5 + 0.2 * f64::from(rack.index()) + 0.05 * i as f64)
-        };
-        let mut backends: Vec<Box<dyn FleetBackend>> = vec![
-            FleetBackendKind::Serial.build(agents(6)),
-            FleetBackendKind::Sharded { shards: 3 }.build(agents(6)),
-            FleetBackendKind::ShardedBatched { shards: 3 }.build(agents(6)),
-            FleetBackendKind::Soa.build(agents(6)),
-            FleetBackendKind::SoaSharded { shards: 3 }.build(agents(6)),
-            FleetBackendKind::Event.build(agents(6)),
-            FleetBackendKind::EventSharded { shards: 3 }.build(agents(6)),
-        ];
-        for backend in &mut backends {
-            backend.step_schedule(Seconds::new(1.0), &schedule, &load);
-        }
-        let reference = backends[0].readings();
-        for backend in &backends[1..] {
-            let readings = backend.readings();
-            assert_eq!(readings.len(), reference.len(), "{}", backend.name());
-            for (a, b) in reference.iter().zip(&readings) {
-                assert_eq!(a.rack, b.rack, "{}", backend.name());
-                assert_eq!(a.bbu_state, b.bbu_state, "{}", backend.name());
-                assert_eq!(a.recharge_power, b.recharge_power, "{}", backend.name());
-                assert_eq!(a.it_load, b.it_load, "{}", backend.name());
-                assert_eq!(a.event_dod, b.event_dod, "{}", backend.name());
-            }
-        }
-    }
-
-    #[test]
     fn kind_names_and_default() {
         assert_eq!(FleetBackendKind::default(), FleetBackendKind::Serial);
         assert_eq!(FleetBackendKind::Serial.build(agents(1)).name(), "serial");
-        assert_eq!(
-            FleetBackendKind::Sharded { shards: 1 }
-                .build(agents(1))
-                .name(),
-            "sharded"
-        );
-        assert_eq!(
-            FleetBackendKind::ShardedBatched { shards: 1 }
-                .build(agents(1))
-                .name(),
-            "sharded-batched"
-        );
         assert_eq!(FleetBackendKind::Soa.build(agents(1)).name(), "soa");
-        assert_eq!(
-            FleetBackendKind::SoaSharded { shards: 1 }
-                .build(agents(1))
-                .name(),
-            "soa-sharded"
-        );
-        assert_eq!(FleetBackendKind::Event.build(agents(1)).name(), "event");
-        assert_eq!(
-            FleetBackendKind::EventSharded { shards: 1 }
-                .build(agents(1))
-                .name(),
-            "event-sharded"
-        );
     }
 
     #[test]
     fn kind_round_trips_through_strings() {
-        for kind in [
-            FleetBackendKind::Serial,
-            FleetBackendKind::Sharded { shards: 4 },
-            FleetBackendKind::ShardedBatched { shards: 2 },
-            FleetBackendKind::Soa,
-            FleetBackendKind::SoaSharded { shards: 3 },
-            FleetBackendKind::Event,
-            FleetBackendKind::EventSharded { shards: 4 },
-        ] {
+        for kind in [FleetBackendKind::Serial, FleetBackendKind::Soa] {
             assert_eq!(kind.to_string().parse(), Ok(kind));
         }
-        assert_eq!("event".parse(), Ok(FleetBackendKind::Event));
+        assert_eq!(FleetBackendKind::Soa.to_string(), "soa");
         assert_eq!("serial".parse(), Ok(FleetBackendKind::Serial));
-        assert_eq!(
-            "sharded-batched:8".parse(),
-            Ok(FleetBackendKind::ShardedBatched { shards: 8 })
-        );
         assert_eq!("soa".parse(), Ok(FleetBackendKind::Soa));
-        assert_eq!(
-            "soa-sharded:4".parse(),
-            Ok(FleetBackendKind::SoaSharded { shards: 4 })
-        );
-        assert_eq!(
-            "event-sharded:8".parse(),
-            Ok(FleetBackendKind::EventSharded { shards: 8 })
-        );
+        assert_eq!("event".parse(), Ok(FleetBackendKind::Soa));
+    }
+
+    #[test]
+    fn removed_and_malformed_kinds_are_rejected() {
+        // The shard-count forms are errors, not aliases: an alias would
+        // silently ignore the shard count.
         for bad in [
+            "sharded:2",
+            "sharded-batched:2",
+            "soa-sharded:2",
+            "event-sharded:2",
             "",
             "serial:1",
-            "sharded",
-            "sharded:",
-            "sharded:x",
-            "mesh:2",
             "soa:1",
-            "soa-sharded",
-            "soa-sharded:x",
             "event:1",
             "events",
-            "event-sharded",
-            "event-sharded:",
-            "event-sharded:x",
-            "event-sharded:1.5",
-            "event-sharded:-2",
+            "SOA",
         ] {
-            assert!(bad.parse::<FleetBackendKind>().is_err(), "{bad:?} parsed");
+            assert_eq!(
+                bad.parse::<FleetBackendKind>(),
+                Err(ParseBackendKindError {
+                    text: bad.to_owned()
+                }),
+                "{bad:?} parsed"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_error_lists_exactly_the_accepted_strings() {
+        let err = "sharded:2".parse::<FleetBackendKind>().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            r#"unknown backend kind "sharded:2" (expected one of ["serial", "soa", "event"])"#
+        );
+        for accepted in ACCEPTED {
+            assert!(accepted.parse::<FleetBackendKind>().is_ok(), "{accepted}");
         }
     }
 }

@@ -1,7 +1,7 @@
 //! A minimal binary-heap next-event scheduler.
 //!
-//! The event-driven backend and the simulation loop both need the same
-//! primitive: "give me the earliest pending event at or before `now`,
+//! The SoA engine's quiescence skipping and the simulation loop both need
+//! the same primitive: "give me the earliest pending event at or before `now`,
 //! breaking ties in the order they were scheduled". A [`std::collections::BinaryHeap`]
 //! of `Reverse`-ordered entries keyed on `(time, sequence)` provides exactly
 //! that with `O(log n)` scheduling and popping. Times are integer sub-step
@@ -67,7 +67,7 @@ impl<E> EventScheduler<E> {
     /// An empty scheduler whose heap can hold `capacity` pending events
     /// without reallocating.
     ///
-    /// The event backends size their queues for the steady state (at most one
+    /// The SoA engine sizes its queue for the steady state (at most one
     /// pending wake per rack plus a batch's worth of power edges) so the hot
     /// loop never grows the heap mid-run; a burst beyond the capacity still
     /// works, it just reallocates like any `Vec`.
@@ -174,7 +174,7 @@ mod tests {
         assert!(cap >= 64);
         // Many schedule/drain cycles that never exceed the requested
         // capacity must never grow the heap: the steady-state loop of the
-        // event backends is allocation-free.
+        // SoA engine is allocation-free.
         for round in 0..200u64 {
             for i in 0..64u32 {
                 s.schedule(round, i);

@@ -1,4 +1,4 @@
-//! Struct-of-arrays fleet physics: the campus-scale execution backend.
+//! Struct-of-arrays fleet physics: the fast execution engine.
 //!
 //! The object path dispatches every rack through
 //! `SimRackAgent` → `RackBatterySystem` → `Bbu` → `BbuPack`, four layers of
@@ -6,17 +6,18 @@
 //! 316 racks that is noise; at a 100k-rack campus it is the simulator's whole
 //! budget. [`SoaBackend`] flattens the fleet into contiguous arrays — one
 //! `soc[]`, `event_dod[]`, `automatic[]`, `offered[]`, … per shard, plus one
-//! packed flag byte per rack — and steps them in a single branch-light pass.
+//! packed flag byte per rack — and steps them in a branch-light pass that
+//! skips racks proven quiescent (the rules are in the `event` module).
 //!
 //! **Equivalence argument.** The per-rack state transition is *the same
 //! code*: both paths call [`recharge_battery::kernel`] for the CC-CV and
-//! discharge arithmetic, and the SoA pass replays the exact
+//! discharge arithmetic, and every executed SoA sub-step replays the exact
 //! `set_offered_load → set_input_power → step` sequence of
-//! [`SerialBackend`](crate::SerialBackend) per rack per sub-step. Racks do
-//! not interact during physics, so per-rack state — and therefore every
+//! [`SerialBackend`](crate::SerialBackend) for its rack. Racks do not
+//! interact during physics, so per-rack state — and therefore every
 //! [`PowerReading`] and downstream `RunMetrics` — is bit-identical to the
-//! object path regardless of shard count. The backend-equivalence matrix and
-//! a proptest over random command schedules enforce this.
+//! object path. The backend-equivalence matrix and proptests over random
+//! command schedules enforce this.
 //!
 //! Flag packing (one `u8` per rack):
 //!
@@ -34,13 +35,15 @@ use std::collections::HashMap;
 
 use recharge_battery::kernel;
 use recharge_battery::{BbuParams, BbuState, ChargePhase, ChargePolicy};
-use recharge_telemetry::tspan;
+use recharge_telemetry::{flight, tcounter, tspan, FlightKind, ReasonCode, NO_BUCKET};
 use recharge_units::{Amperes, Dod, Priority, RackId, Seconds, Soc, Watts};
 
 use crate::agent::{RackAgent, SimRackAgent};
 use crate::backend::FleetBackend;
 use crate::bus::AgentBus;
+use crate::event::{FleetEvent, Lane, EDGE_HEADROOM};
 use crate::messages::PowerReading;
+use crate::scheduler::EventScheduler;
 
 const STATE_MASK: u8 = 0b0000_0011;
 const STATE_FULLY_CHARGED: u8 = 0b00;
@@ -52,14 +55,6 @@ const FLAG_POSTPONED: u8 = 1 << 3;
 const FLAG_OVERRIDE: u8 = 1 << 4;
 const FLAG_CAPPED: u8 = 1 << 5;
 const FLAG_INPUT_POWER: u8 = 1 << 6;
-
-/// What [`SoaBackend::into_parts`] yields: the shards, the fleet-order map,
-/// and the rack → (shard, slot) routing index.
-pub(crate) type SoaParts = (
-    Vec<SoaShard>,
-    Vec<(usize, usize)>,
-    HashMap<RackId, (usize, usize)>,
-);
 
 fn state_bits(state: BbuState) -> u8 {
     match state {
@@ -164,7 +159,7 @@ impl SoaShard {
         shard
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.racks.len()
     }
 
@@ -174,14 +169,14 @@ impl SoaShard {
     }
 
     /// The priority of the rack in `slot` (flight-recorder provenance).
-    pub(crate) fn priority_at(&self, slot: usize) -> Priority {
+    fn priority_at(&self, slot: usize) -> Priority {
         self.priority[slot]
     }
 
     /// Whether the next sub-step for this rack is a provable no-op given
     /// unchanged input power and an arbitrary offered load.
     ///
-    /// This is the event-driven backend's *entire* skip authority: a rack may
+    /// This is the engine's *entire* skip authority: a rack may
     /// be fast-forwarded only while this predicate holds, because then the
     /// dense sub-step would write nothing except `offered[]` (patched up
     /// separately by [`touch_offered`](Self::touch_offered)). The cases:
@@ -196,7 +191,7 @@ impl SoaShard {
     ///   to `FullyCharged`, which is observable.
     /// - `Discharging` never sleeps: drain is load-dependent every sub-step.
     ///
-    /// Input-power *edges* invalidate sleep; the event backend wakes all
+    /// Input-power *edges* invalidate sleep; the engine wakes all
     /// racks on every edge, so the predicate can assume power is steady.
     pub(crate) fn is_quiescent(&self, slot: usize) -> bool {
         if self.recharge[slot] != 0.0 {
@@ -333,20 +328,9 @@ impl SoaShard {
         }
     }
 
-    /// Runs a whole schedule over this shard (the threaded fan-out path).
-    fn run_schedule(&mut self, dt: Seconds, input_power: &[bool], loads: &[Watts]) {
-        let n = self.len();
-        for (i, &power) in input_power.iter().enumerate() {
-            let row = &loads[i * n..(i + 1) * n];
-            for (slot, &load) in row.iter().enumerate() {
-                self.substep(slot, load, power, dt);
-            }
-        }
-    }
-
     /// `Charger::set_override` for one slot: clamp to the 1–5 A hardware
     /// range and raise the override flag.
-    pub(crate) fn set_override_slot(&mut self, slot: usize, current: Amperes) {
+    fn set_override_slot(&mut self, slot: usize, current: Amperes) {
         self.override_a[slot] = current
             .clamp(Amperes::MIN_CHARGE, Amperes::MAX_CHARGE)
             .as_amps();
@@ -354,12 +338,12 @@ impl SoaShard {
     }
 
     /// `Charger::clear_override` for one slot.
-    pub(crate) fn clear_override_slot(&mut self, slot: usize) {
+    fn clear_override_slot(&mut self, slot: usize) {
         self.flags[slot] &= !FLAG_OVERRIDE;
     }
 
     /// `Charger::set_postponed` for one slot.
-    pub(crate) fn set_postponed_slot(&mut self, slot: usize, postponed: bool) {
+    fn set_postponed_slot(&mut self, slot: usize, postponed: bool) {
         if postponed {
             self.flags[slot] |= FLAG_POSTPONED;
         } else {
@@ -368,18 +352,18 @@ impl SoaShard {
     }
 
     /// `SimRackAgent::cap_servers` for one slot.
-    pub(crate) fn cap_slot(&mut self, slot: usize, limit: Watts) {
+    fn cap_slot(&mut self, slot: usize, limit: Watts) {
         self.cap[slot] = limit.max(Watts::ZERO).as_watts();
         self.flags[slot] |= FLAG_CAPPED;
     }
 
     /// `SimRackAgent::uncap_servers` for one slot.
-    pub(crate) fn uncap_slot(&mut self, slot: usize) {
+    fn uncap_slot(&mut self, slot: usize) {
         self.flags[slot] &= !FLAG_CAPPED;
     }
 
     /// `SimRackAgent::read` over array state.
-    pub(crate) fn read(&self, slot: usize) -> PowerReading {
+    fn read(&self, slot: usize) -> PowerReading {
         let flags = self.flags[slot];
         let input = flags & FLAG_INPUT_POWER != 0;
         let offered = Watts::new(self.offered[slot]);
@@ -402,12 +386,14 @@ impl SoaShard {
     }
 }
 
-/// The struct-of-arrays fleet backend: serial (`threads == 1`) or sharded
-/// over scoped threads, one contiguous chunk of the fleet per shard.
+/// The struct-of-arrays fleet engine: flat per-rack arrays stepped in one
+/// pass, skipping racks whose next sub-step is provably a no-op.
 ///
 /// Implements both [`FleetBackend`] (the tick loop's surface) and
 /// [`AgentBus`] (the controller's surface) over the same arrays — there are
-/// no per-rack agent objects at all.
+/// no per-rack agent objects at all. Readings, bus behavior, and downstream
+/// `RunMetrics` are bit-identical to [`SerialBackend`](crate::SerialBackend);
+/// only the number of rack sub-steps executed changes.
 ///
 /// # Examples
 ///
@@ -424,51 +410,46 @@ impl SoaShard {
 ///     Watts::from_kilowatts(6.0)
 /// });
 /// assert!(fleet.readings().iter().all(|r| r.is_charging()));
+/// // A long quiet stretch of wall power: settled racks fast-forward.
+/// fleet.step_schedule(Seconds::new(30.0), &[true; 600], &|_, _| {
+///     Watts::from_kilowatts(6.0)
+/// });
+/// assert!(fleet.substeps_skipped() > 0);
 /// ```
 pub struct SoaBackend {
     shards: Vec<SoaShard>,
+    /// Sleep bookkeeping, one lane per shard.
+    lanes: Vec<Lane>,
     /// Fleet order → (shard, slot); readings and rack listings replay this so
     /// the outside world sees the original agent order even when the
     /// homogeneous-group partition reshuffled racks across shards.
     order: Vec<(usize, usize)>,
     /// rack → (shard, slot); commands and reads route through here.
     index: HashMap<RackId, (usize, usize)>,
-    threaded: bool,
+    scheduler: EventScheduler<FleetEvent>,
+    /// The fleet-wide input power as of the last processed edge. Safe to
+    /// start `true`: every rack begins awake, and a rack only sleeps after
+    /// executing a sub-step whose power this field tracked, so sleeping
+    /// racks always agree with it.
+    power: bool,
+    /// Global sub-step counter across schedules (the event-queue timeline).
+    clock: u64,
+    /// Rack sub-steps actually executed.
+    executed: u64,
+    /// End-of-batch offered-load replay writes (one per sleeper per batch).
+    replayed: u64,
 }
 
 impl SoaBackend {
-    /// Creates a serial (single-pass) SoA backend over the given agents.
+    /// Creates the SoA engine over the given agents.
     ///
-    /// Heterogeneous fleets are supported: racks are partitioned into
-    /// homogeneous groups by `(BbuParams, ChargePolicy)` at construction (in
-    /// first-seen order), one or more shards per group. The kernel pass is
-    /// untouched; only the shard layout changes. Readings and rack listings
-    /// always come back in the original fleet order.
+    /// Heterogeneous fleets are supported: racks are partitioned into one
+    /// shard per `(BbuParams, ChargePolicy)` group at construction (in
+    /// first-seen order). The kernel pass is untouched; only the shard
+    /// layout changes. Readings and rack listings always come back in the
+    /// original fleet order.
     #[must_use]
     pub fn new(agents: Vec<SimRackAgent>) -> Self {
-        SoaBackend::with_shards(agents, 1, false)
-    }
-
-    /// Creates a sharded SoA backend: the fleet is split into `shards`
-    /// contiguous chunks stepped on scoped threads, a whole schedule per
-    /// fan-out (the batched submission model). `shards` clamps to
-    /// `[1, agents.len()]`; a heterogeneous fleet may produce more shards
-    /// than requested (at least one per homogeneous group).
-    #[must_use]
-    pub fn sharded(agents: Vec<SimRackAgent>, shards: usize) -> Self {
-        SoaBackend::with_shards(agents, shards, true)
-    }
-
-    fn with_shards(agents: Vec<SimRackAgent>, shards: usize, threaded: bool) -> Self {
-        if agents.is_empty() {
-            return SoaBackend {
-                shards: Vec::new(),
-                order: Vec::new(),
-                index: HashMap::new(),
-                threaded,
-            };
-        }
-
         // Partition fleet positions into homogeneous groups, first-seen
         // order. `BbuParams` is PartialEq-only (f64 fields), so this is a
         // linear scan over the handful of distinct configurations.
@@ -486,81 +467,114 @@ impl SoaBackend {
             }
         }
 
-        // One global chunk size keeps the homogeneous layout identical to
-        // the pre-grouping backend: a single group splits into the same
-        // contiguous chunks as before.
-        let shard_count = shards.clamp(1, agents.len());
-        let chunk = agents.len().div_ceil(shard_count);
-        let mut built: Vec<SoaShard> = Vec::new();
+        let mut shards = Vec::with_capacity(groups.len());
         let mut order = vec![(0usize, 0usize); agents.len()];
-        for (params, policy, members) in &groups {
-            for piece in members.chunks(chunk) {
-                let refs: Vec<&SimRackAgent> = piece.iter().map(|&pos| &agents[pos]).collect();
-                let s = built.len();
-                built.push(SoaShard::from_agents(&refs, *params, *policy));
-                for (slot, &pos) in piece.iter().enumerate() {
-                    order[pos] = (s, slot);
-                }
-            }
-        }
-
         let mut index = HashMap::with_capacity(agents.len());
-        for (s, shard) in built.iter().enumerate() {
-            for (slot, &rack) in shard.racks.iter().enumerate() {
-                index.insert(rack, (s, slot));
+        for (s, (params, policy, members)) in groups.iter().enumerate() {
+            let refs: Vec<&SimRackAgent> = members.iter().map(|&pos| &agents[pos]).collect();
+            shards.push(SoaShard::from_agents(&refs, *params, *policy));
+            for (slot, &pos) in members.iter().enumerate() {
+                order[pos] = (s, slot);
+                index.insert(agents[pos].rack(), (s, slot));
             }
         }
+        let lanes = shards.iter().map(|s| Lane::new(s.len())).collect();
         SoaBackend {
-            shards: built,
+            shards,
+            lanes,
             order,
             index,
-            threaded,
+            // Steady-state sizing: at most one pending wake per rack plus a
+            // batch's worth of power edges — the hot loop never grows the
+            // heap.
+            scheduler: EventScheduler::with_capacity(agents.len() + EDGE_HEADROOM),
+            power: true,
+            clock: 0,
+            executed: 0,
+            replayed: 0,
         }
-    }
-
-    /// Shared-crate access for the event-driven wrapper.
-    pub(crate) fn shards(&self) -> &[SoaShard] {
-        &self.shards
-    }
-
-    /// Mutable shard access for the event-driven wrapper.
-    pub(crate) fn shards_mut(&mut self) -> &mut [SoaShard] {
-        &mut self.shards
-    }
-
-    /// Routes a rack to its `(shard, slot)` home, if present.
-    pub(crate) fn slot_of(&self, rack: RackId) -> Option<(usize, usize)> {
-        self.index.get(&rack).copied()
-    }
-
-    /// Decomposes the backend into its shards plus the fleet-order and
-    /// rack-routing maps — the sharded event backend takes ownership of the
-    /// shards (they ping-pong to worker threads) but keeps the same
-    /// construction/grouping pass and external ordering.
-    pub(crate) fn into_parts(self) -> SoaParts {
-        (self.shards, self.order, self.index)
     }
 
     /// Total racks across all shards.
     #[must_use]
     pub fn rack_count(&self) -> usize {
-        self.shards.iter().map(SoaShard::len).sum()
+        self.order.len()
     }
 
-    /// Number of shards the fleet is split into.
+    /// Number of shards (homogeneous groups) the fleet is split into.
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
+
+    /// Rack sub-steps actually executed since construction.
+    #[must_use]
+    pub fn substeps_executed(&self) -> u64 {
+        self.executed
+    }
+
+    /// Rack sub-steps fast-forwarded (what a dense pass would have run minus
+    /// what this one did).
+    #[must_use]
+    pub fn substeps_skipped(&self) -> u64 {
+        self.clock * self.rack_count() as u64 - self.executed
+    }
+
+    /// End-of-batch offered-load replay writes since construction: exactly
+    /// one write per sleeping rack per schedule, which is the same write set
+    /// the dense pass's final sub-step would have produced for them.
+    #[must_use]
+    pub fn offered_replays(&self) -> u64 {
+        self.replayed
+    }
+
+    /// Wakes one sleeping slot, journaling the fast-forward. Idempotent.
+    fn wake_one(&mut self, shard: usize, slot: usize, now: u64) {
+        if let Some(skipped) = self.lanes[shard].wake_one(slot, now) {
+            journal_fast_forward(&self.shards[shard], slot, skipped, now);
+        }
+    }
+
+    /// Wakes every sleeping rack (input power is a fleet-wide input, so an
+    /// edge invalidates every sleep).
+    fn wake_all(&mut self, now: u64) {
+        for (lane, shard) in self.lanes.iter_mut().zip(&self.shards) {
+            lane.wake_all(now, |slot, skipped| {
+                journal_fast_forward(shard, slot, skipped, now);
+            });
+        }
+    }
+
+    /// Applies a bus command to `rack`'s slot and, if the rack is asleep,
+    /// schedules a wake at the next sub-step so the command's effect is
+    /// stepped densely.
+    fn command(&mut self, rack: RackId, apply: impl FnOnce(&mut SoaShard, usize)) {
+        if let Some(&(shard, slot)) = self.index.get(&rack) {
+            apply(&mut self.shards[shard], slot);
+            if self.lanes[shard].is_sleeping(slot) {
+                self.scheduler
+                    .schedule(self.clock, FleetEvent::Wake { shard, slot });
+            }
+        }
+    }
+}
+
+/// Records one sleep→wake transition in the flight recorder.
+fn journal_fast_forward(shard: &SoaShard, slot: usize, skipped: u64, now: u64) {
+    flight(
+        FlightKind::FastForward,
+        ReasonCode::Observed,
+        shard.rack_at(slot).index(),
+        shard.priority_at(slot).rank(),
+        NO_BUCKET,
+        skipped,
+        now,
+    );
 }
 
 impl FleetBackend for SoaBackend {
     fn name(&self) -> &'static str {
-        if self.threaded {
-            "soa-sharded"
-        } else {
-            "soa"
-        }
+        "soa"
     }
 
     fn step_schedule(
@@ -569,38 +583,61 @@ impl FleetBackend for SoaBackend {
         input_power: &[bool],
         load_of: &dyn Fn(RackId, usize) -> Watts,
     ) {
-        let _span = tspan!("fleet.soa_step", "fleet");
-        if !self.threaded || self.shards.len() <= 1 {
-            for (i, &power) in input_power.iter().enumerate() {
-                for shard in &mut self.shards {
-                    for slot in 0..shard.len() {
-                        let load = load_of(shard.racks[slot], i);
-                        shard.substep(slot, load, power, dt);
-                    }
-                }
-            }
+        let _span = tspan!("fleet.step_schedule", "fleet");
+        let n = input_power.len();
+        if n == 0 {
             return;
         }
 
-        // `load_of` is not Sync, so materialize each shard's loads up front
-        // (substep-major, matching `run_schedule`), then fan the schedule out
-        // once — the batched submission model, minus any channels.
-        let loads: Vec<Vec<Watts>> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let mut v = Vec::with_capacity(shard.len() * input_power.len());
-                for i in 0..input_power.len() {
-                    v.extend(shard.racks.iter().map(|&rack| load_of(rack, i)));
-                }
-                v
-            })
-            .collect();
-        std::thread::scope(|scope| {
-            for (shard, shard_loads) in self.shards.iter_mut().zip(&loads) {
-                scope.spawn(move || shard.run_schedule(dt, input_power, shard_loads));
+        // Power edges become scheduled events so the whole timeline — edges,
+        // command wakes, and (by induction) sleeps — flows through one
+        // deterministic queue.
+        let mut prev = self.power;
+        for (i, &p) in input_power.iter().enumerate() {
+            if p != prev {
+                self.scheduler
+                    .schedule(self.clock + i as u64, FleetEvent::PowerEdge(p));
+                prev = p;
             }
-        });
+        }
+
+        let mut executed_now: u64 = 0;
+        let mut fired: u64 = 0;
+        for (i, &power) in input_power.iter().enumerate() {
+            let now = self.clock + i as u64;
+            while let Some((_, event)) = self.scheduler.pop_due(now) {
+                fired += 1;
+                match event {
+                    FleetEvent::PowerEdge(p) => {
+                        self.power = p;
+                        self.wake_all(now);
+                    }
+                    FleetEvent::Wake { shard, slot } => self.wake_one(shard, slot, now),
+                }
+            }
+            debug_assert_eq!(self.power, power, "edge events must track the schedule");
+
+            for (lane, shard) in self.lanes.iter_mut().zip(&mut self.shards) {
+                executed_now += lane.step_active(shard, now, power, dt, |rack| load_of(rack, i));
+            }
+        }
+        self.clock += n as u64;
+
+        // Replay the one observable effect the skipped sub-steps had: the
+        // schedule's final offered-load write (idempotent with the dense
+        // pass's last write). O(sleeping), not O(racks): the lane iterates
+        // its maintained sleeper list.
+        let mut replays: u64 = 0;
+        for (lane, shard) in self.lanes.iter().zip(&mut self.shards) {
+            replays += lane.replay_offered(shard, |rack| load_of(rack, n - 1));
+        }
+
+        self.executed += executed_now;
+        self.replayed += replays;
+        tcounter!("sim.rack_substeps").add(executed_now);
+        tcounter!("sim.ticks_skipped").add(n as u64 * self.rack_count() as u64 - executed_now);
+        tcounter!("sim.events_fired").add(fired);
+        tcounter!("sim.offered_replays").add(replays);
     }
 
     fn readings(&self) -> Vec<PowerReading> {
@@ -618,7 +655,7 @@ impl AgentBus for SoaBackend {
     fn racks(&self) -> Vec<RackId> {
         self.order
             .iter()
-            .map(|&(s, slot)| self.shards[s].racks[slot])
+            .map(|&(s, slot)| self.shards[s].rack_at(slot))
             .collect()
     }
 
@@ -640,40 +677,32 @@ impl AgentBus for SoaBackend {
     }
 
     fn set_charge_override(&mut self, rack: RackId, current: Amperes) {
-        if let Some(&(s, slot)) = self.index.get(&rack) {
-            self.shards[s].set_override_slot(slot, current);
-        }
+        self.command(rack, |shard, slot| shard.set_override_slot(slot, current));
     }
 
     fn clear_charge_override(&mut self, rack: RackId) {
-        if let Some(&(s, slot)) = self.index.get(&rack) {
-            self.shards[s].clear_override_slot(slot);
-        }
+        self.command(rack, SoaShard::clear_override_slot);
     }
 
     fn set_charge_postponed(&mut self, rack: RackId, postponed: bool) {
-        if let Some(&(s, slot)) = self.index.get(&rack) {
-            self.shards[s].set_postponed_slot(slot, postponed);
-        }
+        self.command(rack, |shard, slot| {
+            shard.set_postponed_slot(slot, postponed);
+        });
     }
 
     fn cap_servers(&mut self, rack: RackId, limit: Watts) {
-        if let Some(&(s, slot)) = self.index.get(&rack) {
-            self.shards[s].cap_slot(slot, limit);
-        }
+        self.command(rack, |shard, slot| shard.cap_slot(slot, limit));
     }
 
     fn uncap_servers(&mut self, rack: RackId) {
-        if let Some(&(s, slot)) = self.index.get(&rack) {
-            self.shards[s].uncap_slot(slot);
-        }
+        self.command(rack, SoaShard::uncap_slot);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{FleetBackendKind, SerialBackend};
+    use crate::backend::SerialBackend;
 
     fn agents(n: u32) -> Vec<SimRackAgent> {
         (0..n)
@@ -686,7 +715,7 @@ mod tests {
     }
 
     /// A mixed fleet: two charge policies interleaved, so the grouping pass
-    /// has to split the fleet into (at least) two homogeneous shards.
+    /// has to split the fleet into two homogeneous shards.
     fn mixed_agents(n: u32) -> Vec<SimRackAgent> {
         (0..n)
             .map(|i| {
@@ -701,17 +730,15 @@ mod tests {
             .collect()
     }
 
-    /// Steps both backends through the same mixed schedule with the same
-    /// command stream, asserting bit-identical readings at every boundary.
-    fn assert_lockstep(
-        fleet: impl Fn() -> Vec<SimRackAgent>,
-        mut soa: Box<dyn FleetBackend>,
-        rounds: usize,
-    ) {
+    /// Steps the SoA engine and the serial reference through the same mixed
+    /// schedule with the same command stream, asserting bit-identical
+    /// readings at every boundary.
+    fn assert_lockstep(fleet: impl Fn() -> Vec<SimRackAgent>, rounds: usize) {
         let mut reference = SerialBackend::new(fleet());
+        let mut soa = SoaBackend::new(fleet());
         for round in 0..rounds {
             // Commands vary per round to exercise every flag transition.
-            for backend in [&mut reference as &mut dyn FleetBackend, soa.as_mut()] {
+            for backend in [&mut reference as &mut dyn FleetBackend, &mut soa] {
                 let bus = backend.bus_mut();
                 match round % 5 {
                     0 => bus.set_charge_override(RackId::new(2), Amperes::new(1.5)),
@@ -741,7 +768,7 @@ mod tests {
             for rack in reference.bus_mut().racks() {
                 assert_eq!(
                     reference.bus_mut().read(rack),
-                    soa.bus_mut().read(rack),
+                    AgentBus::read(&soa, rack),
                     "round {round} rack {rack:?}"
                 );
             }
@@ -749,58 +776,26 @@ mod tests {
     }
 
     #[test]
-    fn soa_serial_matches_object_path_bit_for_bit() {
-        assert_lockstep(|| agents(7), Box::new(SoaBackend::new(agents(7))), 12);
-    }
-
-    #[test]
-    fn soa_sharded_matches_object_path_bit_for_bit() {
-        assert_lockstep(
-            || agents(7),
-            Box::new(SoaBackend::sharded(agents(7), 3)),
-            12,
-        );
+    fn soa_matches_object_path_bit_for_bit() {
+        assert_lockstep(|| agents(7), 12);
     }
 
     #[test]
     fn heterogeneous_soa_matches_object_path_bit_for_bit() {
-        assert_lockstep(
-            || mixed_agents(7),
-            Box::new(SoaBackend::new(mixed_agents(7))),
-            12,
-        );
-    }
-
-    #[test]
-    fn heterogeneous_sharded_soa_matches_object_path_bit_for_bit() {
-        assert_lockstep(
-            || mixed_agents(7),
-            Box::new(SoaBackend::sharded(mixed_agents(7), 3)),
-            12,
-        );
+        assert_lockstep(|| mixed_agents(7), 12);
     }
 
     #[test]
     fn heterogeneous_fleets_partition_by_group_and_keep_fleet_order() {
-        // 7 racks, alternating policies → two groups (4 + 3 racks); a serial
-        // build keeps one shard per group.
+        // 7 racks, alternating policies → two groups (4 + 3 racks), one
+        // shard per group.
         let fleet = SoaBackend::new(mixed_agents(7));
         assert_eq!(fleet.shard_count(), 2);
         assert_eq!(fleet.rack_count(), 7);
-        let order: Vec<u32> = FleetBackend::readings(&fleet)
-            .iter()
-            .map(|r| r.rack.index())
-            .collect();
+        let order: Vec<u32> = fleet.readings().iter().map(|r| r.rack.index()).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4, 5, 6]);
         let listed: Vec<u32> = AgentBus::racks(&fleet).iter().map(|r| r.index()).collect();
         assert_eq!(listed, order);
-    }
-
-    #[test]
-    fn shard_counts_clamp() {
-        assert_eq!(SoaBackend::sharded(agents(4), 99).shard_count(), 4);
-        assert_eq!(SoaBackend::sharded(agents(4), 0).shard_count(), 1);
-        assert_eq!(SoaBackend::new(agents(4)).rack_count(), 4);
     }
 
     #[test]
@@ -809,16 +804,6 @@ mod tests {
         fleet.step_schedule(Seconds::new(1.0), &[true], &|_, _| Watts::ZERO);
         assert!(fleet.readings().is_empty());
         assert!(fleet.bus_mut().read(RackId::new(0)).is_none());
-    }
-
-    #[test]
-    fn kind_builds_soa_backends() {
-        assert_eq!(FleetBackendKind::Soa.build(agents(2)).name(), "soa");
-        assert_eq!(
-            FleetBackendKind::SoaSharded { shards: 2 }
-                .build(agents(4))
-                .name(),
-            "soa-sharded"
-        );
+        assert_eq!(fleet.substeps_skipped(), 0);
     }
 }

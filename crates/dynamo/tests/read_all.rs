@@ -23,7 +23,7 @@ type Command = (u8, usize, f64);
 type Round = (Vec<bool>, Vec<Command>, Vec<usize>);
 
 /// The in-process backends whose bus overrides the bulk read.
-const KINDS: [&str; 5] = ["serial", "soa", "soa-sharded:2", "event", "event-sharded:2"];
+const KINDS: [FleetBackendKind; 2] = [FleetBackendKind::Serial, FleetBackendKind::Soa];
 
 fn agents(specs: &[RackSpec]) -> Vec<SimRackAgent> {
     specs
@@ -141,7 +141,6 @@ proptest! {
     fn backend_bulk_reads_match_per_rack_reads(fleet in arb_fleet(), rounds in arb_rounds()) {
         let n = fleet.len();
         for kind in KINDS {
-            let kind: FleetBackendKind = kind.parse().expect("known backend kind");
             let mut backend: Box<dyn FleetBackend> = kind.build(agents(&fleet));
             let stale = backend.readings()[0];
             check_contract(backend.bus_mut(), stale)?;

@@ -45,7 +45,7 @@ fn is_decision(e: &FlightEvent) -> bool {
 }
 
 /// Renders an event's kind-specific payload words as the quantities they
-/// carry (see the payload conventions in `DESIGN.md` §15).
+/// carry (see the payload conventions in `DESIGN.md` §14).
 #[must_use]
 pub fn describe_payload(e: &FlightEvent) -> String {
     let (v0, v1) = (e.v0_f64(), e.v1_f64());

@@ -159,76 +159,15 @@ impl Scenario {
         self
     }
 
-    /// Runs rack agents on `n` worker threads (a [`ThreadedFleet`] backend)
-    /// instead of stepping them in-process, submitting one channel round-trip
-    /// per tick. Agent physics and controller decisions are identical either
-    /// way — sharding only changes who steps the agents — so metrics match
-    /// the in-memory backend exactly.
-    ///
-    /// `n` is clamped to `[1, rack_count]` when the fleet is built: zero
-    /// shards and more shards than racks both degenerate (an idle coordinator
-    /// or empty workers), so neither is ever spawned.
-    ///
-    /// [`ThreadedFleet`]: recharge_dynamo::ThreadedFleet
-    #[must_use]
-    pub fn shards(mut self, n: usize) -> Self {
-        self.backend = FleetBackendKind::Sharded { shards: n };
-        self
-    }
-
-    /// Like [`shards`](Self::shards), but every schedule of sub-steps between
-    /// controller interventions travels as a single batched round-trip per
-    /// shard. Bit-identical to the per-tick submission; pair with
-    /// [`control_every`](Self::control_every) to make batches longer than one
-    /// sub-step.
-    #[must_use]
-    pub fn shards_batched(mut self, n: usize) -> Self {
-        self.backend = FleetBackendKind::ShardedBatched { shards: n };
-        self
-    }
-
-    /// Runs the fleet on the struct-of-arrays physics kernel
-    /// ([`SoaBackend`]): one contiguous array pass per sub-step instead of
-    /// per-rack object dispatch. Bit-identical to the object backends; the
-    /// campus-scale choice.
+    /// Runs the fleet on the struct-of-arrays engine ([`SoaBackend`]): flat
+    /// per-rack arrays, with quiescent racks fast-forwarding between events
+    /// instead of stepping every tick. Bit-identical to the serial backend;
+    /// the cheap choice for long, mostly-idle horizons and campus fleets.
     ///
     /// [`SoaBackend`]: recharge_dynamo::SoaBackend
     #[must_use]
     pub fn soa(mut self) -> Self {
         self.backend = FleetBackendKind::Soa;
-        self
-    }
-
-    /// Like [`soa`](Self::soa), but the arrays are split into `n` contiguous
-    /// shards stepped on scoped threads, one fan-out per schedule.
-    #[must_use]
-    pub fn soa_sharded(mut self, n: usize) -> Self {
-        self.backend = FleetBackendKind::SoaSharded { shards: n };
-        self
-    }
-
-    /// Runs the fleet on the event-driven backend
-    /// ([`EventDrivenBackend`]): quiescent racks fast-forward between
-    /// events instead of stepping every tick. Bit-identical to the dense
-    /// backends; the cheap choice for long, mostly-idle horizons.
-    ///
-    /// [`EventDrivenBackend`]: recharge_dynamo::EventDrivenBackend
-    #[must_use]
-    pub fn event_driven(mut self) -> Self {
-        self.backend = FleetBackendKind::Event;
-        self
-    }
-
-    /// Like [`event_driven`](Self::event_driven), but the shards step on `n`
-    /// persistent worker threads behind a merged wake queue
-    /// ([`EventShardedBackend`]). Bit-identical to every other backend; the
-    /// choice when the horizon is mostly idle *and* the fleet is
-    /// campus-scale.
-    ///
-    /// [`EventShardedBackend`]: recharge_dynamo::EventShardedBackend
-    #[must_use]
-    pub fn event_sharded(mut self, n: usize) -> Self {
-        self.backend = FleetBackendKind::EventSharded { shards: n };
         self
     }
 
@@ -267,8 +206,9 @@ impl Scenario {
 
     /// Sets how many physical sub-steps run between consecutive controller
     /// interventions (default 1: the controller runs every tick). The
-    /// simulated schedule is identical for every backend; a batched backend
-    /// collapses the interval into one channel round-trip per shard.
+    /// simulated schedule is identical for every backend; the SoA engine
+    /// can fast-forward idle racks across the whole interval, and an RPC
+    /// backend ships it as one batch.
     ///
     /// Zero clamps to 1: the controller can run at most once per tick, and a
     /// zero-length schedule would never step the physics at all.
@@ -323,7 +263,7 @@ impl Scenario {
     /// Sets the pre-transition warmup (default 60 s): how long the run
     /// simulates normal wall-power operation before the open transition
     /// begins. Longer warmups exercise the diurnal trace's quiet stretches —
-    /// the regime the event-driven backend fast-forwards.
+    /// the regime the SoA engine fast-forwards.
     #[must_use]
     pub fn warmup(mut self, warmup: Seconds) -> Self {
         self.warmup = warmup.max(Seconds::ZERO);
@@ -461,15 +401,9 @@ mod tests {
     }
 
     #[test]
-    fn event_driven_selects_the_event_backend() {
-        let s = Scenario::paper_msb(0).event_driven();
-        assert_eq!(s.backend, FleetBackendKind::Event);
-    }
-
-    #[test]
-    fn event_sharded_selects_the_sharded_event_backend() {
-        let s = Scenario::paper_msb(0).event_sharded(4);
-        assert_eq!(s.backend, FleetBackendKind::EventSharded { shards: 4 });
+    fn soa_selects_the_soa_backend() {
+        let s = Scenario::paper_msb(0).soa();
+        assert_eq!(s.backend, FleetBackendKind::Soa);
     }
 
     #[test]

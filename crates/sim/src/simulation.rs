@@ -34,7 +34,7 @@ struct ChargeTrack {
 /// What the simulation's own event queue carries. The control-tick cadence
 /// is a scheduled event rather than a hardcoded loop so that, like the
 /// fleet backends, the run's timeline flows through one deterministic
-/// next-event scheduler (DESIGN.md §16). Each tick reschedules the next;
+/// next-event scheduler (DESIGN.md §13). Each tick reschedules the next;
 /// the per-sub-step times still come from the same repeated-addition
 /// recurrence, so the float sequence is unchanged.
 enum SimEvent {
@@ -112,11 +112,10 @@ impl FleetSimulation {
                     .build()
             })
             .collect();
-        // Where the agents execute — serial in-process, sharded threads,
-        // sharded with batched submission, or hosted behind the RPC mesh —
-        // is a pluggable [`FleetBackend`]; every backend runs the identical
-        // sub-step schedule, so metrics are bit-identical across them (for
-        // the mesh: under a clean link).
+        // Where the agents execute — serial in-process, the SoA engine, or
+        // hosted behind the RPC mesh — is a pluggable [`FleetBackend`];
+        // every backend runs the identical sub-step schedule, so metrics are
+        // bit-identical across them (for the mesh: under a clean link).
         let mut backend: Box<dyn FleetBackend> = match &self.scenario.rpc {
             Some(mesh) => {
                 // A leaf spec travels along even when leaf hosting is off:
@@ -164,8 +163,8 @@ impl FleetSimulation {
         // `control_every` physical sub-steps. The schedule — per-sub-step
         // times and input-power states — is computed here by the same
         // repeated-addition recurrence regardless of backend, so the float
-        // sequence every agent sees is structurally identical whether the
-        // schedule executes serially, sharded per tick, or as one batch.
+        // sequence every agent sees is structurally identical however the
+        // backend executes the schedule.
         let control_every = self.scenario.control_every;
         let mut times: Vec<SimTime> = Vec::with_capacity(control_every);
         let mut input_power: Vec<bool> = Vec::with_capacity(control_every);
@@ -521,42 +520,18 @@ mod tests {
     }
 
     #[test]
-    fn sharded_backend_matches_in_memory() {
-        // `shards(n)` only moves agent stepping onto worker threads; the
-        // physics, controller decisions, and bookkeeping must be identical.
+    fn soa_backend_matches_in_memory() {
+        // The SoA engine only changes *how* rack sub-steps execute and which
+        // ones are skipped, never their results: RunMetrics must be
+        // bit-identical.
         let base = small(Strategy::PriorityAware, 190.0);
         let serial = base.clone().build().run();
-        for shards in [1, 3] {
-            let sharded = base.clone().shards(shards).build().run();
-            assert_eq!(sharded, serial, "diverged with {shards} shards");
-        }
-    }
-
-    #[test]
-    fn event_backend_matches_in_memory() {
-        // The event-driven backend only changes *which* rack sub-steps
-        // execute, never their results: RunMetrics must be bit-identical.
-        let base = small(Strategy::PriorityAware, 190.0);
-        let serial = base.clone().build().run();
-        let event = base.clone().event_driven().build().run();
-        assert_eq!(event, serial, "event-driven run diverged from serial");
+        let soa = base.clone().soa().build().run();
+        assert_eq!(soa, serial, "soa run diverged from serial");
         // And with a longer control interval (bigger batches to skip within).
         let serial5 = base.clone().control_every(5).build().run();
-        let event5 = base.clone().control_every(5).event_driven().build().run();
-        assert_eq!(event5, serial5, "event-driven diverged at control_every=5");
-    }
-
-    #[test]
-    fn degenerate_shard_counts_clamp_to_the_fleet() {
-        // `shards(0)` and `shards(99)` (more shards than the 7 racks) must
-        // clamp to [1, rack_count] at build and run identically to serial —
-        // no panic, no idle-worker divergence.
-        let base = small(Strategy::PriorityAware, 190.0);
-        let serial = base.clone().build().run();
-        for shards in [0, 99] {
-            let clamped = base.clone().shards(shards).build().run();
-            assert_eq!(clamped, serial, "diverged with {shards} requested shards");
-        }
+        let soa5 = base.clone().control_every(5).soa().build().run();
+        assert_eq!(soa5, serial5, "soa diverged at control_every=5");
     }
 
     #[test]

@@ -1,16 +1,13 @@
 //! Every fleet backend must produce bit-identical [`RunMetrics`].
 //!
-//! The matrix covers {serial, sharded per-tick, sharded batched,
-//! struct-of-arrays serial, struct-of-arrays sharded, event-driven,
-//! event-sharded, RPC mesh
-//! over loopback TCP, sharded RPC mesh at 1/2/4 shards} × {telemetry off,
-//! telemetry on} ×
+//! The matrix covers {serial, struct-of-arrays, RPC mesh over loopback TCP,
+//! sharded RPC mesh at 1/2/4 shards} × {telemetry off, telemetry on} ×
 //! {controller every tick, controller every 5 ticks}, plus a flight-recorder
 //! on/off leg: the recorder journals every decision but must never feed back
 //! into the result.
-//! Batching, sharding, and the wire may only change who executes the
-//! sub-step schedule and what transport the controller's reads and commands
-//! cross — never a single bit of the result. The sharded mesh additionally
+//! The engine, quiescence skipping, and the wire may only change how the
+//! sub-step schedule is executed and what transport the controller's reads
+//! and commands cross — never a single bit of the result. The sharded mesh additionally
 //! batches reads (`ReadAllReadings` snapshot) and defers commands
 //! (`ApplyCommandBatch` flushed at the next schedule boundary), and must
 //! *still* be bit-identical: nothing observes agent state between a
@@ -23,9 +20,7 @@
 //!
 //! This is a single-test integration binary because it toggles the global
 //! telemetry enable flag — state no other concurrently running test may
-//! share. The in-process shard count defaults to 2 and can be raised via the
-//! `RECHARGE_TEST_SHARDS` environment variable (CI runs the matrix at 4 to
-//! exercise real multi-core interleavings); the sharded-mesh loop defaults to
+//! share. The sharded-mesh loop defaults to
 //! {1, 2, 4} servers and can be pinned to a single count via
 //! `RECHARGE_MESH_SHARDS` (the `net-soak-sharded` CI matrix runs 2 and 4).
 
@@ -41,13 +36,6 @@ fn scenario() -> Scenario {
         .discharge(DischargeLevel::Low)
         .tick(Seconds::new(1.0))
         .max_horizon(Seconds::from_hours(2.5))
-}
-
-fn test_shards() -> usize {
-    std::env::var("RECHARGE_TEST_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2)
 }
 
 fn mesh_shard_counts() -> Vec<usize> {
@@ -70,16 +58,7 @@ fn run_matrix_row(backend: FleetBackendKind, control_every: usize) -> RunMetrics
 
 #[test]
 fn run_metrics_are_bit_identical_across_backends() {
-    let shards = test_shards();
-    let backends = [
-        FleetBackendKind::Serial,
-        FleetBackendKind::Sharded { shards },
-        FleetBackendKind::ShardedBatched { shards },
-        FleetBackendKind::Soa,
-        FleetBackendKind::SoaSharded { shards },
-        FleetBackendKind::Event,
-        FleetBackendKind::EventSharded { shards },
-    ];
+    let backends = [FleetBackendKind::Serial, FleetBackendKind::Soa];
 
     for telemetry in [false, true] {
         recharge_telemetry::set_enabled(telemetry);
@@ -90,8 +69,7 @@ fn run_metrics_are_bit_identical_across_backends() {
                 assert_eq!(
                     metrics, reference,
                     "{backend:?} diverged from serial \
-                     (telemetry={telemetry}, control_every={control_every}, \
-                     shards={shards})"
+                     (telemetry={telemetry}, control_every={control_every})"
                 );
             }
             // The RPC mesh over a clean loopback link: every controller read
@@ -138,13 +116,7 @@ fn run_metrics_are_bit_identical_across_backends() {
     // recorder at its default (on); rerun a backend spread with it off.
     let reference = run_matrix_row(FleetBackendKind::Serial, 5);
     recharge_telemetry::set_recorder_enabled(false);
-    for backend in [
-        FleetBackendKind::Serial,
-        FleetBackendKind::ShardedBatched { shards },
-        FleetBackendKind::Soa,
-        FleetBackendKind::Event,
-        FleetBackendKind::EventSharded { shards },
-    ] {
+    for backend in [FleetBackendKind::Serial, FleetBackendKind::Soa] {
         let metrics = run_matrix_row(backend, 5);
         assert_eq!(
             metrics, reference,

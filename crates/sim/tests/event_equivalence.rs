@@ -1,50 +1,41 @@
-//! Dense vs event-driven bit-identity under randomized schedules.
+//! Serial vs SoA bit-identity under randomized schedules.
 //!
-//! The event-driven backend's whole contract is "skip only what provably
-//! does nothing". These properties randomize the inputs that could break
-//! that claim — load-transition timings, input-power edge placement, and
-//! command streams that postpone/override/cap racks at arbitrary boundaries
-//! — and pin readings and `RunMetrics` bit-identical to [`SerialBackend`].
-//! The sharded event backend rides along at a randomized shard count
-//! (1/2/4 by default, pinned via `RECHARGE_TEST_SHARDS`), with the command
-//! stream deliberately landing on racks owned by different shards
-//! mid-batch. On failure, proptest shrinks to the minimal divergent
+//! The SoA engine skips quiescent racks, and its whole contract is "skip only
+//! what provably does nothing". These properties randomize the inputs that
+//! could break that claim — load-transition timings, input-power edge
+//! placement, command streams that postpone/override/cap racks at arbitrary
+//! boundaries, and homogeneous vs mixed-policy fleets (one SoA shard per
+//! policy group) — and pin readings and `RunMetrics` bit-identical to
+//! [`SerialBackend`]. On failure, proptest shrinks to the minimal divergent
 //! schedule.
 
 use proptest::prelude::*;
 
-use recharge_dynamo::{
-    EventDrivenBackend, EventShardedBackend, FleetBackend, SerialBackend, SimRackAgent,
-};
+use recharge_battery::ChargePolicy;
+use recharge_dynamo::{AgentBus, FleetBackend, SerialBackend, SimRackAgent, SoaBackend};
 use recharge_sim::{DischargeLevel, Scenario};
 use recharge_units::{Amperes, Priority, RackId, Seconds, Watts};
 
 const FLEET: u32 = 6;
 
-/// Shard counts the sharded event backend is exercised at: `[1, 2, 4]` by
-/// default, or a single pinned count from `RECHARGE_TEST_SHARDS` (the CI
-/// `event-sharded-smoke` job pins 4).
-fn shard_counts() -> Vec<usize> {
-    match std::env::var("RECHARGE_TEST_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-    {
-        Some(n) => vec![n],
-        None => vec![1, 2, 4],
-    }
-}
-
-fn agents() -> Vec<SimRackAgent> {
+/// The test fleet. With `mixed` set, even racks run the original 5 A
+/// charger and odd racks the variable one, so the SoA engine splits the
+/// fleet into two shards.
+fn agents(mixed: bool) -> Vec<SimRackAgent> {
     (0..FLEET)
         .map(|i| {
-            SimRackAgent::builder(RackId::new(i), Priority::ALL[(i % 3) as usize])
-                .offered_load(Watts::from_kilowatts(6.0))
-                .build()
+            let mut builder =
+                SimRackAgent::builder(RackId::new(i), Priority::ALL[(i % 3) as usize])
+                    .offered_load(Watts::from_kilowatts(6.0));
+            if mixed && i % 2 == 0 {
+                builder = builder.charge_policy(ChargePolicy::Original);
+            }
+            builder.build()
         })
         .collect()
 }
 
-fn apply_command(bus: &mut dyn recharge_dynamo::AgentBus, op: u8, rack: u32, magnitude: f64) {
+fn apply_command(bus: &mut dyn AgentBus, op: u8, rack: u32, magnitude: f64) {
     let rack = RackId::new(rack % FLEET);
     match op % 6 {
         0 => bus.set_charge_override(rack, Amperes::new(magnitude)),
@@ -60,7 +51,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Backend-level lockstep: arbitrary power-edge placement, per-round
-    /// load levels, and command streams must leave the event backend
+    /// load levels, and command streams must leave the SoA engine
     /// bit-identical to serial at every schedule boundary.
     #[test]
     fn readings_are_bit_identical_under_random_schedules(
@@ -75,21 +66,17 @@ proptest! {
             1..16,
         ),
         dt in 1.0f64..45.0,
-        shard_sel in 0usize..64,
+        mixed in proptest::bool::ANY,
     ) {
-        let counts = shard_counts();
-        let shards = counts[shard_sel % counts.len()];
-        let mut reference = SerialBackend::new(agents());
-        let mut event = EventDrivenBackend::new(agents());
-        let mut sharded = EventShardedBackend::new(agents(), shards);
+        let mut reference = SerialBackend::new(agents(mixed));
+        let mut soa = SoaBackend::new(agents(mixed));
+        prop_assert_eq!(soa.shard_count(), if mixed { 2 } else { 1 });
         for (round, (op, rack, magnitude, schedule, base_kw)) in
             rounds.iter().enumerate()
         {
-            // Successive rounds target different racks, so with 2 or 4
-            // shards the command stream lands on different shards mid-run.
-            for backend in
-                [&mut reference as &mut dyn FleetBackend, &mut event, &mut sharded]
-            {
+            // Successive rounds target different racks, so on a mixed fleet
+            // the command stream lands on both shards mid-run.
+            for backend in [&mut reference as &mut dyn FleetBackend, &mut soa] {
                 apply_command(backend.bus_mut(), *op, *rack, *magnitude);
             }
             let base = *base_kw;
@@ -99,50 +86,22 @@ proptest! {
                 )
             };
             reference.step_schedule(Seconds::new(dt), schedule, &load);
-            event.step_schedule(Seconds::new(dt), schedule, &load);
-            sharded.step_schedule(Seconds::new(dt), schedule, &load);
+            soa.step_schedule(Seconds::new(dt), schedule, &load);
             prop_assert_eq!(
                 reference.readings(),
-                FleetBackend::readings(&event),
-                "round {} diverged (schedule {:?})",
+                soa.readings(),
+                "round {} diverged (mixed {}, schedule {:?})",
                 round,
-                schedule
-            );
-            prop_assert_eq!(
-                reference.readings(),
-                FleetBackend::readings(&sharded),
-                "round {} diverged on {} shards (schedule {:?})",
-                round,
-                shards,
+                mixed,
                 schedule
             );
         }
-        // Accounting must cover the dense schedule exactly — globally for
-        // both event backends, and shard-by-shard for the sharded one.
+        // Accounting must cover the dense schedule exactly.
         let total: u64 = rounds.iter().map(|r| r.3.len() as u64).sum();
         prop_assert_eq!(
-            event.substeps_executed() + event.substeps_skipped(),
+            soa.substeps_executed() + soa.substeps_skipped(),
             total * u64::from(FLEET)
         );
-        prop_assert_eq!(sharded.substeps_executed(), event.substeps_executed());
-        // Per shard, executed + skipped must equal the dense schedule times
-        // the shard's slot count — i.e. a whole multiple of `total` — and
-        // the shards together must cover the fleet exactly.
-        let mut fleet_executed = 0;
-        let mut fleet_covered = 0;
-        for (shard, (executed, skipped)) in
-            sharded.per_shard_substeps().into_iter().enumerate()
-        {
-            prop_assert_eq!(
-                (executed + skipped) % total,
-                0,
-                "shard {} of {} accounting", shard, shards
-            );
-            fleet_executed += executed;
-            fleet_covered += executed + skipped;
-        }
-        prop_assert_eq!(fleet_executed, sharded.substeps_executed());
-        prop_assert_eq!(fleet_covered, total * u64::from(FLEET));
     }
 }
 
@@ -150,42 +109,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// End-to-end: whole-run `RunMetrics` (series, SLA outcomes, peaks)
-    /// bit-identical between dense, event-driven, and sharded event-driven
-    /// stepping across random fleets, discharge depths, control cadences,
-    /// and shard counts.
+    /// bit-identical between serial and SoA stepping across random fleets,
+    /// discharge depths, and control cadences.
     #[test]
     fn run_metrics_are_bit_identical_end_to_end(
         seed in 0u64..1_000,
         control_every in 1usize..6,
         dod in 0.1f64..0.8,
         warmup in 0.0f64..600.0,
-        shard_sel in 0usize..64,
     ) {
-        let counts = shard_counts();
-        let shards = counts[shard_sel % counts.len()];
         let base = Scenario::row(3, 2, 2, seed)
             .power_limit(Watts::from_kilowatts(190.0))
             .discharge(DischargeLevel::Custom(dod))
             .warmup(Seconds::new(warmup))
             .control_every(control_every)
             .max_horizon(Seconds::from_hours(2.5));
-        let dense = base.clone().build().run();
-        let event = base.clone().event_driven().build().run();
+        let serial = base.clone().build().run();
+        let soa = base.soa().build().run();
         prop_assert_eq!(
-            &event,
-            &dense,
+            &soa,
+            &serial,
             "seed {} control_every {} dod {} warmup {}",
-            seed,
-            control_every,
-            dod,
-            warmup
-        );
-        let sharded = base.event_sharded(shards).build().run();
-        prop_assert_eq!(
-            &sharded,
-            &dense,
-            "event-sharded:{} seed {} control_every {} dod {} warmup {}",
-            shards,
             seed,
             control_every,
             dod,

@@ -1,4 +1,4 @@
-//! Campus-scale smoke: the struct-of-arrays backend must reproduce the
+//! Campus-scale smoke: the struct-of-arrays engine must reproduce the
 //! object path's `RunMetrics` exactly, at sizes where only the SoA kernel is
 //! practical to run routinely.
 //!
@@ -29,23 +29,16 @@ fn campus_scenario() -> Scenario {
 }
 
 #[test]
-fn soa_backends_match_serial_at_row_scale() {
+fn soa_matches_serial_at_row_scale() {
     let reference: RunMetrics = small_scenario().build().run();
     let soa = small_scenario().soa().build().run();
     assert_eq!(soa, reference, "soa diverged from serial");
-    let sharded = small_scenario().soa_sharded(3).build().run();
-    assert_eq!(sharded, reference, "soa-sharded diverged from serial");
 }
 
 #[test]
 #[ignore = "campus-scale; run by the scale-smoke CI job with --release -- --ignored"]
-fn soa_backends_match_serial_at_campus_scale() {
+fn soa_matches_serial_at_campus_scale() {
     let reference: RunMetrics = campus_scenario().build().run();
     let soa = campus_scenario().soa().build().run();
     assert_eq!(soa, reference, "soa diverged from serial at 10k racks");
-    let sharded = campus_scenario().soa_sharded(4).build().run();
-    assert_eq!(
-        sharded, reference,
-        "soa-sharded diverged from serial at 10k racks"
-    );
 }

@@ -23,7 +23,7 @@ fn run_metrics_are_bit_identical_with_telemetry_on_or_off() {
     // Baseline: telemetry off.
     recharge_telemetry::set_enabled(false);
     let off_serial = scenario().build().run();
-    let off_sharded = scenario().shards(2).build().run();
+    let off_soa = scenario().soa().build().run();
 
     // Instrumented: telemetry on. Spans only read clocks, so every metric —
     // series samples, SLA outcomes, float power maxima — must match exactly.
@@ -31,17 +31,14 @@ fn run_metrics_are_bit_identical_with_telemetry_on_or_off() {
     recharge_telemetry::reset_metrics();
     let _ = recharge_telemetry::take_records();
     let on_serial = scenario().build().run();
-    let on_sharded = scenario().shards(2).build().run();
+    let on_soa = scenario().soa().build().run();
     let records = recharge_telemetry::take_records();
     let snapshot = recharge_telemetry::snapshot();
     recharge_telemetry::set_enabled(false);
 
     assert_eq!(on_serial, off_serial, "telemetry perturbed the serial run");
-    assert_eq!(
-        on_sharded, off_sharded,
-        "telemetry perturbed the sharded run"
-    );
-    assert_eq!(on_sharded, on_serial, "backends diverged");
+    assert_eq!(on_soa, off_soa, "telemetry perturbed the soa run");
+    assert_eq!(on_soa, on_serial, "backends diverged");
 
     // The instrumented runs actually recorded the end-to-end span set.
     let span_names: std::collections::BTreeSet<&str> = records.iter().map(|r| r.name).collect();
@@ -51,9 +48,7 @@ fn run_metrics_are_bit_identical_with_telemetry_on_or_off() {
         "controller.tick",
         "controller.gather",
         "controller.assign",
-        "fleet.step_all",
-        "shard.step",
-        "shard.cache_refresh",
+        "fleet.step_schedule",
     ] {
         assert!(
             span_names.contains(expected),

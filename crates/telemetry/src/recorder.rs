@@ -86,7 +86,7 @@ pub enum FlightKind {
     RpcRetry = 13,
     /// A link partition opened or healed.
     PartitionEdge = 14,
-    /// The event-driven backend fast-forwarded a quiescent rack: the rack
+    /// The SoA engine fast-forwarded a quiescent rack: the rack
     /// woke after skipping provably no-op sub-steps. `v0` is the number of
     /// sub-steps skipped, `v1` the sub-step index at which it woke (both
     /// integers, not `f64` bits).
@@ -182,7 +182,7 @@ impl FlightKind {
 
 /// Why it happened: the machine-readable reason carried by every decision.
 ///
-/// The table (also in DESIGN.md §15) maps each code to the Algorithm 1 /
+/// The table (also in DESIGN.md §14) maps each code to the Algorithm 1 /
 /// mesh rule that produced it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]

@@ -101,22 +101,30 @@ pub struct SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    // Inlined so an inert guard costs one branch at the call site; the
+    // recording path stays out of line.
+    #[inline]
     fn drop(&mut self) {
         if let Some((name, cat, ts_ns, start)) = self.inner.take() {
-            push(TraceRecord {
-                name,
-                cat,
-                kind: RecordKind::Span,
-                ts_ns,
-                dur_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                tid: 0,
-                args: Vec::new(),
-            });
+            record_span(name, cat, ts_ns, start);
         }
     }
 }
 
+fn record_span(name: &'static str, cat: &'static str, ts_ns: u64, start: Instant) {
+    push(TraceRecord {
+        name,
+        cat,
+        kind: RecordKind::Span,
+        ts_ns,
+        dur_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        tid: 0,
+        args: Vec::new(),
+    });
+}
+
 /// Starts a span; the returned guard records it on drop.
+#[inline]
 pub fn span(name: &'static str, cat: &'static str) -> SpanGuard {
     if !enabled() {
         return SpanGuard { inner: None };

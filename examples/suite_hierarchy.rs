@@ -1,5 +1,5 @@
 //! Suite-scale hierarchy: leaf controllers per RPP and upper monitors per
-//! SB/MSB, driving a threaded agent fleet — the deployed two-level shape of
+//! SB/MSB, driving an in-memory agent fleet — the deployed two-level shape of
 //! §IV-C, with a constraint injected at SB level where only an upper monitor
 //! can see it.
 //!
@@ -7,7 +7,7 @@
 //! cargo run --release --example suite_hierarchy
 //! ```
 
-use recharge::dynamo::{AgentBus, HierarchicalControl, SimRackAgent, Strategy, ThreadedFleet};
+use recharge::dynamo::{AgentBus, HierarchicalControl, InMemoryBus, SimRackAgent, Strategy};
 use recharge::power::facebook;
 use recharge::prelude::*;
 
@@ -24,8 +24,8 @@ fn main() {
         })
         .collect();
 
-    // Agents live on four worker threads behind a telemetry snapshot.
-    let mut fleet = ThreadedFleet::spawn(agents, 4);
+    // The controllers reach the agents through an in-memory bus.
+    let mut fleet = InMemoryBus::new(agents);
     let mut control = HierarchicalControl::from_topology(&plan.topology, Strategy::PriorityAware);
     println!(
         "control tree: {} leaf controllers (RPPs), {} upper monitors (SBs + MSB)",
@@ -34,13 +34,13 @@ fn main() {
     );
 
     // A 90-second open transition over the whole MSB.
-    fleet.step_all(Seconds::new(90.0), |_| Watts::from_kilowatts(6.2), false);
-    fleet.step_all(Seconds::new(1.0), |_| Watts::from_kilowatts(6.2), true);
+    step_all(&mut fleet, Seconds::new(90.0), false);
+    step_all(&mut fleet, Seconds::new(1.0), true);
 
     let mut total_capped = Watts::ZERO;
     for s in 0..3_600u32 {
         total_capped += control.tick(SimTime::from_secs(f64::from(s)), &mut fleet);
-        fleet.step_all(Seconds::new(1.0), |_| Watts::from_kilowatts(6.2), true);
+        step_all(&mut fleet, Seconds::new(1.0), true);
         if s % 600 == 0 {
             let recharge: Watts = fleet
                 .racks()
@@ -80,5 +80,14 @@ fn main() {
         "racks still under coordination at exit: {}",
         commanded.len()
     );
-    let _agents = fleet.into_agents(); // clean worker shutdown
+}
+
+/// Advances every rack by `dt` at a flat 6.2 kW, with `input_power`
+/// applying MSB-wide (an open transition when `false`).
+fn step_all(fleet: &mut InMemoryBus<SimRackAgent>, dt: Seconds, input_power: bool) {
+    for agent in fleet.agents_mut() {
+        agent.set_offered_load(Watts::from_kilowatts(6.2));
+        agent.set_input_power(input_power);
+        agent.step(dt);
+    }
 }

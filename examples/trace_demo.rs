@@ -1,4 +1,4 @@
-//! End-to-end telemetry demo: runs a small sharded scenario with tracing
+//! End-to-end telemetry demo: runs a small scenario with tracing
 //! enabled, then parses the Chrome-trace file it produced and prints a span
 //! summary plus the metrics snapshot.
 //!
@@ -9,7 +9,7 @@
 //! When `RECHARGE_TRACE` is unset the demo defaults it to
 //! `trace_demo.json` in the current directory. Open the file in Perfetto
 //! (<https://ui.perfetto.dev>) or `chrome://tracing` to see controller-tick
-//! phases, sim ticks, and shard steps on their worker threads.
+//! phases, sim ticks, and the fleet physics steps.
 
 use std::collections::BTreeMap;
 
@@ -28,8 +28,7 @@ fn main() {
         }
     };
 
-    // A small but fully featured run: sharded backend (so shard.step and
-    // shard.cache_refresh spans appear) under the priority-aware controller.
+    // A small but fully featured run under the priority-aware controller.
     // FleetSimulation::run sees RECHARGE_TRACE, enables telemetry, and writes
     // the Chrome trace on completion.
     let metrics = Scenario::row(3, 2, 2, 7)
@@ -38,7 +37,6 @@ fn main() {
         .discharge(DischargeLevel::Low)
         .tick(Seconds::new(1.0))
         .max_horizon(Seconds::from_hours(2.5))
-        .shards(2)
         .build()
         .run();
 
