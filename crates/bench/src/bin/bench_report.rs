@@ -487,9 +487,11 @@ impl NetProbe {
 /// Gates on every mesh run being bit-identical to serial and on the batched
 /// wire ops actually collapsing traffic: at most 3 RPCs per shard per
 /// control tick (the implementation spends 2 — one `ReadAllReadings`, one
-/// `ApplyCommandBatch`). The fan-out timing comparison is informational: on
-/// a single-core host the concurrent shard threads measure coordination
-/// overhead, not latency hiding.
+/// `ApplyCommandBatch`). The single-server mesh is held to the same gate,
+/// counted as one shard, so a regression to per-rack traffic fails it too.
+/// The fan-out timing comparison is informational: on a single-core host the
+/// concurrent shard threads measure coordination overhead, not latency
+/// hiding.
 struct ShardedNetRow {
     shards: usize,
     secs: f64,
@@ -550,9 +552,11 @@ fn sharded_net_probe() -> ShardedNetProbe {
     recharge_telemetry::set_enabled(false);
 
     let identical = single == serial && rows.iter().all(|r| r.identical);
-    let rpc_economy_ok = rows.iter().all(|r| {
-        r.rpc_calls as f64 <= SHARDED_NET_RPC_GATE * (r.shards as u64 * control_ticks.max(1)) as f64
-    });
+    let within_gate = |calls: u64, shards: usize| {
+        calls as f64 <= SHARDED_NET_RPC_GATE * (shards as u64 * control_ticks.max(1)) as f64
+    };
+    let rpc_economy_ok =
+        within_gate(single_calls, 1) && rows.iter().all(|r| within_gate(r.rpc_calls, r.shards));
     ShardedNetProbe {
         serial_secs,
         single_secs,
@@ -579,6 +583,11 @@ impl ShardedNetProbe {
         let _ = writeln!(json, "  \"serial_secs\": {:.6},", self.serial_secs);
         let _ = writeln!(json, "  \"single_rpc_secs\": {:.6},", self.single_secs);
         let _ = writeln!(json, "  \"single_rpc_calls\": {},", self.single_calls);
+        let _ = writeln!(
+            json,
+            "  \"single_rpcs_per_control_tick\": {:.3},",
+            self.single_calls as f64 / control_ticks
+        );
         let _ = writeln!(json, "  \"control_ticks\": {},", self.control_ticks);
         let _ = writeln!(json, "  \"control_every\": {},", self.control_every);
         let _ = writeln!(json, "  \"shards\": [");
@@ -612,11 +621,12 @@ impl ShardedNetProbe {
         let path = out_dir.join("BENCH_net_sharded.json");
         std::fs::write(&path, json)?;
         println!(
-            "net_sharded: serial {:.3}s, single-rpc {:.3}s ({} calls); identical: {}, \
-             rpc economy ok: {}",
+            "net_sharded: serial {:.3}s, single-rpc {:.3}s ({} calls, {:.2} rpcs/control-tick); \
+             identical: {}, rpc economy ok: {}",
             self.serial_secs,
             self.single_secs,
             self.single_calls,
+            self.single_calls as f64 / control_ticks,
             self.identical,
             self.rpc_economy_ok
         );

@@ -28,9 +28,10 @@ pub trait AgentBus {
     ///
     /// The default body is that per-rack loop, so a bus that only implements
     /// [`read`](Self::read) is already correct. In-process buses override it
-    /// to walk their storage directly; a wire bus whose partitions, drops and
-    /// lease renewals are per rack (`RpcBus`) keeps the default on purpose,
-    /// so every rack is still one contact on the wire.
+    /// to walk their storage directly; the wire buses (`RpcBus`,
+    /// `ShardedRpcBus`) override it with one bulk round trip per server, which
+    /// renews every rack's lease at once and, on a clean link, returns the
+    /// same readings in the same order.
     fn read_all_into(&self, out: &mut Vec<PowerReading>) {
         out.clear();
         out.extend(self.racks().into_iter().filter_map(|rack| self.read(rack)));

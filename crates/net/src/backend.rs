@@ -4,6 +4,9 @@
 //! socket (loopback TCP by default, Unix-domain on request) and gives the
 //! simulation loop an [`RpcBus`] as its controller-facing bus — every
 //! controller read and command crosses the wire, exactly as in production.
+//! A control tick costs one `ReadAllReadings` round trip and at most one
+//! `ApplyCommandBatch`, flushed at the top of the next `step_schedule` (or at
+//! the next read or `readings()`, whichever comes first).
 //! Physics stepping stays local (the host *is* the rack; only coordination
 //! is remote), replicating [`SerialBackend`]'s per-agent order so a
 //! clean-link run is bit-identical to the in-memory backends.
@@ -307,6 +310,10 @@ impl FleetBackend for RpcFleetBackend {
         input_power: &[bool],
         load_of: &dyn Fn(RackId, usize) -> Watts,
     ) {
+        // The last control tick's commands land before any physics and
+        // before the clock advances, so they renew leases at the tick they
+        // were issued.
+        self.bus.flush_commands();
         // Identical per-agent order to SerialBackend: sub-step outer, rack
         // inner — the bit-identical guarantee depends on it.
         self.host.with_agents(|agents| {
@@ -326,7 +333,9 @@ impl FleetBackend for RpcFleetBackend {
 
     fn readings(&self) -> Vec<PowerReading> {
         // Omniscient simulator bookkeeping reads locally; only the
-        // *controller's* view crosses the wire.
+        // *controller's* view crosses the wire. Buffered commands land first,
+        // so this view never lags the controller.
+        self.bus.flush_commands();
         self.host.readings()
     }
 
@@ -376,6 +385,15 @@ mod tests {
         assert_eq!(reading.it_load, Watts::from_kilowatts(3.0));
         // The simulator-side (local) view agrees: same host state.
         assert_eq!(rpc.readings()[0].it_load, Watts::from_kilowatts(3.0));
+    }
+
+    #[test]
+    fn buffered_commands_are_visible_to_readings() {
+        let mut rpc = RpcFleetBackend::spawn(agents(2), &RpcMeshConfig::default()).expect("spawn");
+        rpc.bus_mut()
+            .cap_servers(RackId::new(1), Watts::from_kilowatts(3.0));
+        // No read and no flush in between: `readings()` lands the command.
+        assert_eq!(rpc.readings()[1].it_load, Watts::from_kilowatts(3.0));
     }
 
     #[cfg(unix)]

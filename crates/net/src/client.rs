@@ -25,7 +25,7 @@
 //! [`InMemoryBus::disconnect`]: recharge_dynamo::InMemoryBus::disconnect
 
 use std::io;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use rand::splitmix64;
@@ -141,17 +141,28 @@ struct ClientInner {
 /// the trait's `&self` signature; the controller is single-threaded per bus,
 /// so the lock is uncontended in practice.
 ///
-/// [`AgentBus::read_all_into`] keeps the trait's per-rack default here on
-/// purpose: on this wire a partition or a dropped frame hits one rack's
-/// `Read`, and each `Read` renews that rack's lease, so a controller gather
-/// stays one contact per rack. A bulk `ReadAllReadings` would need per-rack
-/// partition and lease semantics first; the sharded bus batches because
-/// each of its shard links already fails as a whole.
+/// A control tick costs at most two round trips. [`AgentBus::read_all_into`]
+/// is one `ReadAllReadings`, which renews every hosted rack's lease at the
+/// current tick and answers in discovery order, so on a clean link it equals
+/// `racks().filter_map(read)`. The five command methods only buffer; the
+/// buffer crosses as one `ApplyCommandBatch` at the next
+/// [`flush_commands`](Self::flush_commands), which every read runs first and
+/// [`RpcFleetBackend`](crate::RpcFleetBackend) runs before physics and in
+/// `readings()`. Commands therefore land at the next read, flush or
+/// `step_schedule`, before the tick clock moves, and no reader sees the
+/// buffering.
+///
+/// A batched call carries no rack address, so a rack-scoped partition cuts
+/// it whole (see [`PartitionScope::Racks`](crate::fault::PartitionScope)):
+/// the bulk read and every buffered command fail together, while a per-rack
+/// [`read`](AgentBus::read) of an uncut rack still answers.
 pub struct RpcBus {
     endpoint: Endpoint,
     config: RpcBusConfig,
     racks: Vec<RackId>,
     inner: Mutex<ClientInner>,
+    /// Commands waiting for the next [`flush_commands`](Self::flush_commands).
+    pending: Mutex<Vec<AgentCommand>>,
     /// Aggregate call-latency histogram (`net.rpc_latency_us`).
     latency: Histogram,
     /// Per-shard call-latency histogram, when the config names a shard.
@@ -188,6 +199,7 @@ impl RpcBus {
                 ever_connected: false,
                 was_partitioned: false,
             }),
+            pending: Mutex::new(Vec::new()),
             config,
             latency: histogram("net.rpc_latency_us", &LATENCY_BOUNDS_US),
             shard_latency,
@@ -378,10 +390,21 @@ impl RpcBus {
         }
     }
 
-    /// Issues a command, dropping it (with a counter) if the budget runs out.
-    fn command(&self, request: &Request) {
-        if self.call(request).is_none() {
-            tcounter!("net.rpc_lost_commands").inc();
+    /// Buffers a command for the next [`flush_commands`](Self::flush_commands).
+    fn buffer(&mut self, command: AgentCommand) {
+        self.pending
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(command);
+    }
+
+    /// Sends every buffered command as one `ApplyCommandBatch`, in the order
+    /// they were issued; a no-op (no round trip) when none is buffered.
+    pub fn flush_commands(&self) {
+        let commands =
+            std::mem::take(&mut *self.pending.lock().unwrap_or_else(PoisonError::into_inner));
+        if !commands.is_empty() {
+            self.apply_batch(commands);
         }
     }
 
@@ -396,12 +419,14 @@ impl RpcBus {
     }
 
     /// Applies a command batch in one round trip, returning how many commands
-    /// landed; `None` when the batch was lost (counted like a lost command).
+    /// landed; `None` when the batch was lost (each of its commands counts in
+    /// `net.rpc_lost_commands`).
     pub fn apply_batch(&self, commands: Vec<AgentCommand>) -> Option<u32> {
+        let len = commands.len() as u64;
         match self.call(&Request::ApplyCommandBatch(commands)) {
             Some(Response::BatchAck(applied)) => Some(applied),
             _ => {
-                tcounter!("net.rpc_lost_commands").inc();
+                tcounter!("net.rpc_lost_commands").add(len);
                 None
             }
         }
@@ -438,6 +463,7 @@ impl RpcBus {
         leader: u32,
         commands: Vec<AgentCommand>,
     ) -> Option<(bool, u64, u32)> {
+        let len = commands.len() as u64;
         match self.call(&Request::ApplyFencedBatch {
             term,
             leader,
@@ -449,7 +475,7 @@ impl RpcBus {
                 applied,
             }) => Some((accepted, term, applied)),
             _ => {
-                tcounter!("net.rpc_lost_commands").inc();
+                tcounter!("net.rpc_lost_commands").add(len);
                 None
             }
         }
@@ -486,30 +512,41 @@ impl AgentBus for RpcBus {
     }
 
     fn read(&self, rack: RackId) -> Option<PowerReading> {
+        self.flush_commands();
         match self.call(&Request::Read(rack)) {
             Some(Response::Reading(reading)) => reading,
             _ => None,
         }
     }
 
+    /// One `ReadAllReadings` round trip; an exhausted budget leaves `out`
+    /// empty, as if every rack were unreachable.
+    fn read_all_into(&self, out: &mut Vec<PowerReading>) {
+        self.flush_commands();
+        out.clear();
+        if let Some(readings) = self.read_all() {
+            out.extend(readings);
+        }
+    }
+
     fn set_charge_override(&mut self, rack: RackId, current: Amperes) {
-        self.command(&Request::SetChargeOverride(rack, current));
+        self.buffer(AgentCommand::SetChargeOverride(rack, current));
     }
 
     fn clear_charge_override(&mut self, rack: RackId) {
-        self.command(&Request::ClearChargeOverride(rack));
+        self.buffer(AgentCommand::ClearChargeOverride(rack));
     }
 
     fn set_charge_postponed(&mut self, rack: RackId, postponed: bool) {
-        self.command(&Request::SetChargePostponed(rack, postponed));
+        self.buffer(AgentCommand::SetChargePostponed(rack, postponed));
     }
 
     fn cap_servers(&mut self, rack: RackId, limit: Watts) {
-        self.command(&Request::CapServers(rack, limit));
+        self.buffer(AgentCommand::CapServers(rack, limit));
     }
 
     fn uncap_servers(&mut self, rack: RackId) {
-        self.command(&Request::UncapServers(rack));
+        self.buffer(AgentCommand::UncapServers(rack));
     }
 }
 
@@ -548,7 +585,10 @@ mod tests {
         assert_eq!(reading.rack, RackId::new(2));
         assert!(bus.read(RackId::new(9)).is_none(), "unknown rack");
 
+        // Commands land at the next read, flush or `step_schedule`; the host
+        // is inspected directly here, so flush first.
         bus.set_charge_override(RackId::new(1), Amperes::MIN_CHARGE);
+        bus.flush_commands();
         host.with_agents(|agents| {
             assert_eq!(
                 agents[1].battery().bbu().charger().override_current(),
@@ -556,6 +596,7 @@ mod tests {
             );
         });
         bus.clear_charge_override(RackId::new(1));
+        bus.flush_commands();
         host.with_agents(|agents| {
             assert!(agents[1]
                 .battery()
@@ -564,6 +605,88 @@ mod tests {
                 .override_current()
                 .is_none());
         });
+    }
+
+    fn override_of(host: &AgentHost<SimRackAgent>, rack: usize) -> Option<Amperes> {
+        host.with_agents(|agents| agents[rack].battery().bbu().charger().override_current())
+    }
+
+    #[test]
+    fn buffered_commands_land_at_the_next_read() {
+        let clock = FaultClock::new();
+        let (server, host) = spawn_server(3, &clock);
+        let mut bus =
+            RpcBus::connect(server.endpoint(), RpcBusConfig::default(), clock).expect("connect");
+
+        bus.set_charge_override(RackId::new(0), Amperes::MIN_CHARGE);
+        assert_eq!(override_of(&host, 0), None, "commands wait for a flush");
+        assert!(bus.read(RackId::new(2)).is_some());
+        assert_eq!(override_of(&host, 0), Some(Amperes::MIN_CHARGE));
+
+        bus.set_charge_override(RackId::new(1), Amperes::MAX_CHARGE);
+        let mut readings = Vec::new();
+        bus.read_all_into(&mut readings);
+        assert_eq!(readings.len(), 3);
+        assert_eq!(override_of(&host, 1), Some(Amperes::MAX_CHARGE));
+    }
+
+    /// On a clean link the bulk read is exactly the per-rack gather it
+    /// replaces, element for element and in `racks()` order.
+    #[test]
+    fn bulk_read_equals_the_per_rack_gather() {
+        let clock = FaultClock::new();
+        let (server, host) = spawn_server(5, &clock);
+        let mut bus = RpcBus::connect(server.endpoint(), RpcBusConfig::default(), clock.clone())
+            .expect("connect");
+        let mut bulk = Vec::new();
+        for step in 0..4u32 {
+            host.with_agents(|agents| {
+                for agent in agents.iter_mut() {
+                    agent.set_input_power(step != 1);
+                    agent.step(recharge_units::Seconds::new(30.0));
+                }
+            });
+            host.advance(1);
+            let rack = RackId::new(step % 5);
+            bus.cap_servers(rack, Watts::from_kilowatts(2.0 + f64::from(step)));
+            bus.set_charge_override(RackId::new(4 - step % 5), Amperes::MIN_CHARGE);
+
+            bus.read_all_into(&mut bulk);
+            let gathered: Vec<PowerReading> = bus
+                .racks()
+                .into_iter()
+                .filter_map(|r| bus.read(r))
+                .collect();
+            assert_eq!(bulk, gathered, "step {step}");
+            assert_eq!(bulk.len(), 5);
+        }
+    }
+
+    /// The one-link rule: a batched call carries no rack address, so a
+    /// rack-scoped partition cuts the bulk read whole, while a per-rack read
+    /// of an uncut rack still answers.
+    #[test]
+    fn rack_scoped_partition_cuts_the_bulk_read_whole() {
+        let clock = FaultClock::new();
+        let (server, _host) = spawn_server(3, &clock);
+        let config = RpcBusConfig {
+            fault: Some(FaultPlan::partitions_only(vec![Partition::racks(
+                1,
+                2,
+                vec![RackId::new(0)],
+            )])),
+            ..RpcBusConfig::default()
+        };
+        let bus = RpcBus::connect(server.endpoint(), config, clock.clone()).expect("connect");
+        clock.advance(1);
+        assert!(bus.read(RackId::new(0)).is_none(), "cut rack");
+        assert!(bus.read(RackId::new(1)).is_some(), "uncut rack answers");
+        let mut readings = vec![bus.read(RackId::new(2)).expect("uncut")];
+        bus.read_all_into(&mut readings);
+        assert!(readings.is_empty(), "the bulk read is cut whole");
+        clock.advance(1);
+        bus.read_all_into(&mut readings);
+        assert_eq!(readings.len(), 3, "healed");
     }
 
     #[test]

@@ -55,8 +55,12 @@ pub enum PartitionScope {
     /// The whole link: every rack behind it is unreachable.
     #[default]
     All,
-    /// Only the listed racks are unreachable (plus rack-less calls such as
-    /// discovery, which always fail under any active partition).
+    /// Only the listed racks are unreachable to rack-addressed calls. Calls
+    /// that carry no rack address fail under any active partition: discovery,
+    /// and the batched calls (`ReadAllReadings`, `ApplyCommandBatch`), which
+    /// are cut whole. So while the window is open a bulk read returns nothing
+    /// and a command batch is lost, even though a per-rack `Read` of an uncut
+    /// rack still answers.
     Racks(Vec<RackId>),
 }
 

@@ -19,7 +19,9 @@
 //! - [`client`] — [`RpcBus`]: an [`AgentBus`](recharge_dynamo::AgentBus)
 //!   with per-call deadlines, bounded retry (exponential backoff + seeded
 //!   jitter), and transparent reconnect. Exhausted budgets look exactly like
-//!   today's unreachable racks: `read` returns `None`.
+//!   today's unreachable racks: `read` returns `None`. A control tick's
+//!   gather is one `ReadAllReadings`; commands buffer and cross as one
+//!   `ApplyCommandBatch` at the next read, flush or `step_schedule`.
 //! - [`fault`] — deterministic seeded link faults (drop / delay / duplicate /
 //!   partition schedules in simulation ticks) for reproducible chaos runs.
 //! - [`backend`] — [`RpcFleetBackend`]: a
@@ -28,7 +30,7 @@
 //! - [`sharded`] — [`ShardedRpcFleetBackend`]: the fleet partitioned into
 //!   one server per RPP/row ([`ShardPlan`]), batched wire ops
 //!   (`ReadAllReadings` / `ApplyCommandBatch`: O(servers) RPCs per control
-//!   tick instead of O(racks)), concurrent per-shard client threads joined
+//!   tick), concurrent per-shard client threads joined
 //!   on a latch, and optional in-server leaf control (`TickLeaf`) where only
 //!   per-group aggregates and budgets cross the wire.
 //!

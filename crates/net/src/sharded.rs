@@ -1,14 +1,15 @@
 //! The sharded mesh: one [`AgentServer`] per RPP/row, batched wire ops, and
 //! a concurrent controller fan-out.
 //!
-//! The single-server mesh costs one RPC per rack per control tick — linear
-//! in fleet size, serial on the wire. Here the fleet is partitioned by a
+//! The single-server mesh already batches (one `ReadAllReadings` and at most
+//! one `ApplyCommandBatch` per control tick), but every reading crosses one
+//! connection and one host lock. Here the fleet is partitioned by a
 //! [`ShardPlan`] into per-shard [`AgentHost`]s, each behind its own server,
 //! and the controller talks to all of them through a [`ShardedRpcBus`]:
 //!
 //! * **Batched ops** — one `ReadAllReadings` per shard replaces N `Read`s;
 //!   buffered commands flush as one `ApplyCommandBatch` per shard. A control
-//!   tick costs O(servers) RPCs instead of O(racks).
+//!   tick costs O(servers) RPCs, never O(racks).
 //! * **Concurrent fan-out** — each shard has a persistent client thread
 //!   owning its [`RpcBus`]; the bus hands every worker its job, then joins
 //!   on the reply channels. Per-tick network latency is max-over-shards,

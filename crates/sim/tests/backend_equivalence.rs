@@ -7,10 +7,10 @@
 //! into the result.
 //! The engine, quiescence skipping, and the wire may only change how the
 //! sub-step schedule is executed and what transport the controller's reads
-//! and commands cross — never a single bit of the result. The sharded mesh additionally
-//! batches reads (`ReadAllReadings` snapshot) and defers commands
-//! (`ApplyCommandBatch` flushed at the next schedule boundary), and must
-//! *still* be bit-identical: nothing observes agent state between a
+//! and commands cross — never a single bit of the result. Both meshes
+//! additionally batch reads (`ReadAllReadings`) and defer commands
+//! (`ApplyCommandBatch` flushed at the next read or schedule boundary), and
+//! must *still* be bit-identical: nothing observes agent state between a
 //! controller tick and the next schedule's first sub-step.
 //! For the mesh this is the headline clean-link guarantee: the framed codec
 //! carries every `f64` as its exact bit pattern, the lease never expires

@@ -47,6 +47,9 @@ fn main() {
     for s in 0..300u32 {
         backend.step_schedule(Seconds::new(1.0), &[true], &load);
         controller.tick(SimTime::from_secs(f64::from(s)), backend.bus_mut());
+        // Commands land at the next read, flush or schedule step; land this
+        // tick's before inspecting the hosted racks directly.
+        backend.bus().flush_commands();
 
         let coordinated = (0..4u32)
             .filter(|&i| backend.host().is_coordinated(RackId::new(i)))
