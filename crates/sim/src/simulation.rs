@@ -1,13 +1,11 @@
 //! The tick loop: trace → agents → controller → breaker → metrics.
 
-use std::collections::HashMap;
-
 use recharge_core::{ChargeIndex, SlaTable};
 use recharge_dynamo::{Controller, ControllerConfig, EventScheduler, FleetBackend, SimRackAgent};
 use recharge_power::{Breaker, BreakerStatus};
 use recharge_telemetry::{flight, tcounter, tgauge, tspan, FlightKind, ReasonCode};
-use recharge_trace::{RackPowerTrace, SyntheticFleet};
-use recharge_units::{DeviceId, Priority, RackId, Seconds, SimTime, Watts};
+use recharge_trace::{LoadInstant, RackPowerTrace, SyntheticFleet};
+use recharge_units::{DeviceId, Priority, Seconds, SimTime, Watts};
 
 use crate::metrics::{RackSlaOutcome, RunMetrics, SeriesPoint};
 use crate::scenario::Scenario;
@@ -25,6 +23,7 @@ pub struct FleetSimulation {
     mitigated: bool,
 }
 
+#[derive(Clone)]
 struct ChargeTrack {
     started: SimTime,
     priority: Priority,
@@ -156,7 +155,9 @@ impl FleetSimulation {
         let mut max_capped = Watts::ZERO;
         let mut it_before_ot = Watts::ZERO;
         let mut tripped = false;
-        let mut tracks: HashMap<RackId, ChargeTrack> = HashMap::new();
+        // One open charge track per fleet slot: `readings()` lists every
+        // rack in fleet order, so slot `i` is always the same rack.
+        let mut tracks: Vec<Option<ChargeTrack>> = vec![None; rack_count];
         let mut outcomes: Vec<RackSlaOutcome> = Vec::new();
 
         // Between two controller interventions the run performs
@@ -164,9 +165,12 @@ impl FleetSimulation {
         // times and input-power states — is computed here by the same
         // repeated-addition recurrence regardless of backend, so the float
         // sequence every agent sees is structurally identical however the
-        // backend executes the schedule.
+        // backend executes the schedule. The load trace's per-instant part
+        // (diurnal factor, noise window) is computed once per sub-step here,
+        // not once per rack.
         let control_every = self.scenario.control_every;
         let mut times: Vec<SimTime> = Vec::with_capacity(control_every);
+        let mut instants: Vec<LoadInstant> = Vec::with_capacity(control_every);
         let mut input_power: Vec<bool> = Vec::with_capacity(control_every);
 
         // The control cadence as a next-event queue: tick k fires at integer
@@ -179,11 +183,13 @@ impl FleetSimulation {
             tcounter!("sim.events_fired").inc();
             tcounter!("sim.ticks").add(control_every as u64);
             times.clear();
+            instants.clear();
             input_power.clear();
             let mut t_sub = t;
             for _ in 0..control_every {
                 let in_ot = t_sub >= ot_start && t_sub < ot_end;
                 times.push(t_sub);
+                instants.push(self.fleet.instant(t_sub));
                 input_power.push(!in_ot);
                 t_sub += tick;
             }
@@ -196,9 +202,14 @@ impl FleetSimulation {
 
             // Drive the physical layer through the whole schedule.
             backend.step_schedule(tick, &input_power, &|rack, i| {
-                self.fleet.rack_power(rack, times[i])
+                self.fleet.rack_power_at(rack, &instants[i])
             });
             let readings = backend.readings();
+            assert_eq!(
+                readings.len(),
+                rack_count,
+                "a fleet backend must report every rack in fleet order"
+            );
 
             // Control plane (or raw aggregation when unmitigated). A backend
             // hosting the leaf tier (sharded mesh with in-server leaf
@@ -282,18 +293,18 @@ impl FleetSimulation {
             // control plane itself sees, so the bookkeeping is identical
             // across backends.
             let mut all_settled = true;
-            for reading in &readings {
+            for (slot, reading) in tracks.iter_mut().zip(&readings) {
                 match reading.bbu_state {
                     recharge_battery::BbuState::Charging => {
                         all_settled = false;
-                        tracks.entry(reading.rack).or_insert(ChargeTrack {
+                        slot.get_or_insert(ChargeTrack {
                             started: now,
                             priority: reading.priority,
                             dod: reading.event_dod,
                         });
                     }
                     recharge_battery::BbuState::FullyCharged => {
-                        if let Some(track) = tracks.remove(&reading.rack) {
+                        if let Some(track) = slot.take() {
                             let duration = now - track.started;
                             let budget = sla.charge_time_budget(track.priority);
                             let sla_met = duration <= budget;
@@ -333,9 +344,12 @@ impl FleetSimulation {
             cadence.schedule(due + 1, SimEvent::ControlTick);
         }
 
-        // Racks that never completed within the horizon miss their SLA.
-        // Journal order is irrelevant: the merged timeline is content-sorted.
-        for (rack, track) in tracks {
+        // Racks that never completed within the horizon miss their SLA. They
+        // are journaled in fleet order, so which of them precedes the
+        // `sla_miss` black-box dump is deterministic.
+        for (entry, track) in self.fleet.fleet().iter().zip(tracks) {
+            let Some(track) = track else { continue };
+            let rack = entry.rack;
             recharge_telemetry::flight_at(
                 t.as_secs(),
                 FlightKind::SlaOutcome,
@@ -378,6 +392,7 @@ mod tests {
     use crate::scenario::DischargeLevel;
     use recharge_battery::ChargePolicy;
     use recharge_dynamo::Strategy;
+    use recharge_units::RackId;
 
     /// A small fleet keeps the (debug-build) tests quick.
     fn small(strategy: Strategy, limit_kw: f64) -> Scenario {
@@ -532,6 +547,33 @@ mod tests {
         let serial5 = base.clone().control_every(5).build().run();
         let soa5 = base.clone().control_every(5).soa().build().run();
         assert_eq!(soa5, serial5, "soa diverged at control_every=5");
+    }
+
+    #[test]
+    fn horizon_cut_mid_recharge_reports_unfinished_racks() {
+        // The horizon ends while racks are still charging: each rack still
+        // gets exactly one outcome, and the unfinished ones miss their SLA
+        // with no charge duration.
+        let cut = small(Strategy::PriorityAware, 190.0)
+            .discharge(DischargeLevel::Medium)
+            .max_horizon(Seconds::from_minutes(45.0));
+        let serial = cut.clone().build().run();
+        let racks: Vec<RackId> = serial.rack_outcomes.iter().map(|o| o.rack).collect();
+        let expected: Vec<RackId> = (0..7).map(RackId::new).collect();
+        assert_eq!(racks, expected, "one outcome per rack, sorted by rack");
+        let unfinished: Vec<_> = serial
+            .rack_outcomes
+            .iter()
+            .filter(|o| o.charge_duration.is_none())
+            .collect();
+        assert!(
+            !unfinished.is_empty() && unfinished.len() < 7,
+            "the cut must fall mid-recharge: {:?}",
+            serial.rack_outcomes
+        );
+        assert!(unfinished.iter().all(|o| !o.sla_met));
+        let soa = cut.soa().build().run();
+        assert_eq!(soa, serial, "soa diverged from serial on a cut horizon");
     }
 
     #[test]

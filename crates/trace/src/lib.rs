@@ -33,4 +33,4 @@ pub use csv::{CsvTraceError, RecordedTrace};
 pub use model::{DiurnalModel, FleetEntry, RackPowerTrace};
 pub use oversub::{analyze_oversubscription, max_safe_racks, OversubscriptionReport};
 pub use stats::{find_peak, sample_aggregate, TracePoint};
-pub use synth::{SyntheticFleet, SyntheticFleetBuilder};
+pub use synth::{LoadInstant, SyntheticFleet, SyntheticFleetBuilder};

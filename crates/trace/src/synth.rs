@@ -184,14 +184,39 @@ impl SyntheticFleet {
         &self.diurnal
     }
 
-    /// Deterministic per-rack-per-tick noise factor around 1.0.
-    fn noise(&self, rack: RackId, at: SimTime) -> f64 {
+    /// The per-instant part of every rack's load at `at`: the shared
+    /// diurnal factor and the noise window. Compute it once per instant and
+    /// hand it to [`rack_power_at`](Self::rack_power_at) for each rack; the
+    /// result is bit-identical to [`RackPowerTrace::rack_power`].
+    #[must_use]
+    pub fn instant(&self, at: SimTime) -> LoadInstant {
+        LoadInstant {
+            factor: self.diurnal.factor(at),
+            // Through `i64` so windows before t = 0 stay distinct (a direct
+            // float-to-`u64` cast saturates every negative window to 0) and
+            // wrap to distinct hash inputs; windows at t ≥ 0 are unchanged.
+            window: (at.as_secs() / self.noise_tick).floor() as i64 as u64,
+        }
+    }
+
+    /// One rack's load at a precomputed [`instant`](Self::instant):
+    /// base × diurnal factor × noise. Racks outside the fleet draw zero.
+    #[must_use]
+    pub fn rack_power_at(&self, rack: RackId, instant: &LoadInstant) -> Watts {
+        let idx = rack.index() as usize;
+        if idx >= self.base.len() {
+            return Watts::ZERO;
+        }
+        self.base[idx] * instant.factor * self.noise(rack, instant.window)
+    }
+
+    /// Deterministic per-rack-per-window noise factor around 1.0.
+    fn noise(&self, rack: RackId, window: u64) -> f64 {
         if self.noise_fraction == 0.0 {
             return 1.0;
         }
-        let tick = (at.as_secs() / self.noise_tick).floor() as u64;
         let mut h = self.seed ^ (u64::from(rack.index()).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        h ^= tick.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h ^= window.wrapping_mul(0xBF58_476D_1CE4_E5B9);
         h ^= h >> 30;
         h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
         h ^= h >> 27;
@@ -203,17 +228,23 @@ impl SyntheticFleet {
     }
 }
 
+/// The per-instant part of a [`SyntheticFleet`] sample, shared by every rack:
+/// the diurnal factor and the noise window at one simulated time. Obtained
+/// from [`SyntheticFleet::instant`] and consumed by
+/// [`SyntheticFleet::rack_power_at`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LoadInstant {
+    factor: f64,
+    window: u64,
+}
+
 impl RackPowerTrace for SyntheticFleet {
     fn fleet(&self) -> &[FleetEntry] {
         &self.fleet
     }
 
     fn rack_power(&self, rack: RackId, at: SimTime) -> Watts {
-        let idx = rack.index() as usize;
-        if idx >= self.base.len() {
-            return Watts::ZERO;
-        }
-        self.base[idx] * self.diurnal.factor(at) * self.noise(rack, at)
+        self.rack_power_at(rack, &self.instant(at))
     }
 }
 
@@ -332,6 +363,89 @@ mod tests {
         let a = fleet.rack_power(r, SimTime::from_secs(0.0));
         let c = fleet.rack_power(r, SimTime::from_secs(1.0)); // next 1 s window
         assert_ne!(a, c, "1 s noise tick must resample every second");
+    }
+
+    fn flat() -> DiurnalModel {
+        DiurnalModel {
+            daily_amplitude: 0.0,
+            weekly_amplitude: 0.0,
+            peak_hour: 18.0,
+        }
+    }
+
+    #[test]
+    fn noise_is_not_frozen_before_time_zero() {
+        // A warmup longer than the 18 h to the first peak starts the run at
+        // t < 0; each window there must resample like any other.
+        let fleet = SyntheticFleetBuilder::new(3)
+            .noise_tick(1.0)
+            .diurnal(flat())
+            .build();
+        let r = RackId::new(10);
+        let at = |secs: f64| fleet.rack_power(r, SimTime::from_secs(secs));
+        assert_ne!(at(-7_200.0), at(-7_199.0));
+        assert_ne!(at(-2.0), at(-1.0));
+        assert_ne!(at(-1.0), at(0.0));
+        // Within one window the noise still holds.
+        assert_eq!(at(-1.0), at(-0.5));
+    }
+
+    /// The formula before the per-instant split, kept verbatim as the
+    /// bit-level reference for [`SyntheticFleet::rack_power_at`].
+    fn reference_rack_power(fleet: &SyntheticFleet, rack: RackId, at: SimTime) -> Watts {
+        let noise = |rack: RackId, at: SimTime| -> f64 {
+            if fleet.noise_fraction == 0.0 {
+                return 1.0;
+            }
+            let tick = (at.as_secs() / fleet.noise_tick).floor() as u64;
+            let mut h = fleet.seed ^ (u64::from(rack.index()).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            h ^= tick.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            h ^= h >> 30;
+            h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            h ^= h >> 27;
+            h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
+            h ^= h >> 31;
+            let unit = (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+            1.0 + fleet.noise_fraction * unit
+        };
+        let idx = rack.index() as usize;
+        if idx >= fleet.base.len() {
+            return Watts::ZERO;
+        }
+        fleet.base[idx] * fleet.diurnal.factor(at) * noise(rack, at)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Splitting the sample into a shared instant and a per-rack part
+        /// keeps every value's bits for t in [0, 2 weeks].
+        #[test]
+        fn split_sample_keeps_every_bit(
+            seed in 0u64..1_000,
+            counts in (1usize..40, 0usize..40, 0usize..40),
+            rack_offset in 0u32..80,
+            tick_pick in 0usize..3,
+            noise_on in proptest::bool::ANY,
+            secs in 0.0f64..(14.0 * 86_400.0),
+        ) {
+            let mut builder = SyntheticFleetBuilder::new(seed)
+                .priority_counts(counts.0, counts.1, counts.2)
+                .noise_tick([0.5, 1.0, 3.0][tick_pick]);
+            if !noise_on {
+                builder = builder.noise_fraction(0.0);
+            }
+            let fleet = builder.build();
+            // Up to 40 racks past the end of the fleet: the out-of-range path.
+            let rack = RackId::new(rack_offset * (counts.0 + counts.1 + counts.2 + 40) as u32 / 80);
+            let at = SimTime::from_secs(secs);
+            let want = reference_rack_power(&fleet, rack, at).as_watts().to_bits();
+            proptest::prop_assert_eq!(
+                fleet.rack_power_at(rack, &fleet.instant(at)).as_watts().to_bits(),
+                want
+            );
+            proptest::prop_assert_eq!(fleet.rack_power(rack, at).as_watts().to_bits(), want);
+        }
     }
 
     #[test]
