@@ -136,8 +136,13 @@ fn memoized_policy() -> Pair {
 /// measured directly: time `SPAN_OPS` disabled span+counter pairs to get a
 /// per-op cost, time a full (telemetry-off) scenario run to get seconds per
 /// tick, count the instrumentation ops one tick performs from an instrumented
-/// run's trace, and report `ops_per_tick × per_op_cost / tick_secs`. The
-/// gate (< 2%) fails the exit code like a fast-path mismatch would.
+/// run's trace, and report `ops_per_tick × per_op_cost / tick_secs`.
+///
+/// The gate is on the per-op cost itself, against
+/// [`TELEMETRY_PAIR_BUDGET_NS`]; it fails the exit code like a fast-path
+/// mismatch would. The ratio is reported, not gated: it divides a fixed cost
+/// by the tick time, so a faster tick would raise it with no change in the
+/// cost it watches.
 struct TelemetryProbe {
     per_op_ns: f64,
     tick_secs: f64,
@@ -147,6 +152,11 @@ struct TelemetryProbe {
     snapshot_json: String,
     ok: bool,
 }
+
+/// Budget for one disabled span guard plus one counter increment: 2 % of a
+/// 1.649 µs tick spread over 9.01 ops. That tick time is the median of 10
+/// runs on 2 vCPUs with the fleet read twice per tick and SipHash rack maps.
+const TELEMETRY_PAIR_BUDGET_NS: f64 = 3.65;
 
 fn telemetry_probe() -> TelemetryProbe {
     let scenario = || {
@@ -214,7 +224,8 @@ fn telemetry_probe() -> TelemetryProbe {
     let ops_per_tick = (records.len() as u64 + counter_ops) as f64 / ticks.max(1) as f64;
     let overhead_frac = ops_per_tick * per_op_ns * 1e-9 / tick_secs.max(1e-12);
 
-    let ok = overhead_frac < 0.02 && !metrics.breaker_tripped && !records.is_empty();
+    let ok =
+        per_op_ns <= TELEMETRY_PAIR_BUDGET_NS && !metrics.breaker_tripped && !records.is_empty();
     TelemetryProbe {
         per_op_ns,
         tick_secs,
@@ -239,7 +250,7 @@ impl TelemetryProbe {
             "  \"disabled_overhead_frac\": {:.9},",
             self.overhead_frac
         );
-        let _ = writeln!(json, "  \"overhead_gate\": 0.02,");
+        let _ = writeln!(json, "  \"per_op_budget_ns\": {TELEMETRY_PAIR_BUDGET_NS},");
         let _ = writeln!(json, "  \"trace_events\": {},", self.trace_events);
         let _ = writeln!(json, "  \"pass\": {},", self.ok);
         let _ = writeln!(json, "  \"telemetry\": {}", self.snapshot_json);
@@ -247,8 +258,8 @@ impl TelemetryProbe {
         let path = out_dir.join("BENCH_telemetry.json");
         std::fs::write(&path, json)?;
         println!(
-            "telemetry: disabled op {:.1} ns, {:.1} ops/tick, overhead {:.5}%, \
-             {} trace events, pass: {}",
+            "telemetry: disabled op {:.2} ns (budget {TELEMETRY_PAIR_BUDGET_NS} ns), \
+             {:.1} ops/tick, overhead {:.5}%, {} trace events, pass: {}",
             self.per_op_ns,
             self.ops_per_tick,
             self.overhead_frac * 100.0,
@@ -260,13 +271,14 @@ impl TelemetryProbe {
 }
 
 /// The flight-recorder pair: the black box must be invisible twice over —
-/// `RunMetrics` bit-identical with the recorder on and off, and steady-state
-/// journaling cost at most 2 % of a simulation tick.
+/// `RunMetrics` bit-identical with the recorder on and off, and a journaled
+/// event costing at most [`RECORDER_EVENT_BUDGET_NS`].
 ///
 /// The overhead is measured like the telemetry probe's: a recorder-off run
 /// gives seconds per tick, the recorder-on twin gives journaled events per
 /// tick (ring overwrites included), and a hot loop over `flight()` gives the
-/// per-event recording cost; the gate is their product over the tick time.
+/// per-event recording cost. Their product over the tick time is reported;
+/// the gate is on the per-event cost alone.
 struct ObsProbe {
     per_event_ns: f64,
     tick_secs: f64,
@@ -278,7 +290,10 @@ struct ObsProbe {
     ok: bool,
 }
 
-const OBS_OVERHEAD_GATE: f64 = 0.02;
+/// Budget for one steady-state `flight()` event: 2 % of an 8.233 µs tick
+/// spread over 1.084 events. That tick time is the median of 10 runs on 2
+/// vCPUs with the fleet read twice per tick and SipHash rack maps.
+const RECORDER_EVENT_BUDGET_NS: f64 = 151.0;
 
 fn obs_probe() -> ObsProbe {
     use recharge_telemetry::{FlightKind, ReasonCode};
@@ -339,7 +354,7 @@ fn obs_probe() -> ObsProbe {
         journal_window: journal.len(),
         recorded_events,
         identical,
-        ok: identical && overhead_frac < OBS_OVERHEAD_GATE,
+        ok: identical && per_event_ns <= RECORDER_EVENT_BUDGET_NS,
     }
 }
 
@@ -356,7 +371,10 @@ impl ObsProbe {
             "  \"recorder_overhead_frac\": {:.9},",
             self.overhead_frac
         );
-        let _ = writeln!(json, "  \"overhead_gate\": {OBS_OVERHEAD_GATE},");
+        let _ = writeln!(
+            json,
+            "  \"per_event_budget_ns\": {RECORDER_EVENT_BUDGET_NS},"
+        );
         let _ = writeln!(json, "  \"recorded_events\": {},", self.recorded_events);
         let _ = writeln!(json, "  \"journal_window\": {},", self.journal_window);
         let _ = writeln!(json, "  \"metrics_identical\": {},", self.identical);
@@ -365,8 +383,8 @@ impl ObsProbe {
         let _ = writeln!(json, "}}");
         std::fs::write(out_dir.join("BENCH_obs.json"), json)?;
         println!(
-            "obs: {:.1} ns/event, {:.1} events/tick, overhead {:.5}% of a {:.1} µs tick, \
-             metrics identical: {}, pass: {}",
+            "obs: {:.1} ns/event (budget {RECORDER_EVENT_BUDGET_NS} ns), {:.1} events/tick, \
+             overhead {:.5}% of a {:.1} µs tick, metrics identical: {}, pass: {}",
             self.per_event_ns,
             self.events_per_tick,
             self.overhead_frac * 100.0,
@@ -896,9 +914,10 @@ impl EventProbe {
 ///
 /// Gates on three claims from the HA design (DESIGN.md §15): the fault-free
 /// hot-standby run is bit-identical to the single-controller run; the
-/// steady-state replication cost — serializing the paper-scale MSB brain,
-/// amortized over the snapshot cadence — is at most 2 % of a simulation
-/// tick; and a kill-the-leader run completes its takeover within one lease
+/// steady-state replication cost — serializing the paper-scale MSB brain —
+/// is at most [`SNAPSHOT_BUDGET_NS`] per snapshot (its share of a tick,
+/// amortized over the snapshot cadence, is reported); and a kill-the-leader
+/// run completes its takeover within one lease
 /// width plus one control interval of detection slack, with the breaker
 /// closed and every SLA met throughout. Decode + restore runs only on the
 /// takeover path, so it is reported (`restore_ns`) but not amortized.
@@ -916,7 +935,11 @@ struct HaProbe {
     ok: bool,
 }
 
-const HA_OVERHEAD_GATE: f64 = 0.02;
+/// Budget for one paper-MSB snapshot (`snapshot().to_bytes()`): 2 % of a
+/// 15.60 µs tick over the 30-tick snapshot cadence. That tick time is the
+/// median of 10 runs on 2 vCPUs with the fleet read twice per tick and
+/// SipHash rack maps.
+const SNAPSHOT_BUDGET_NS: f64 = 9_350.0;
 
 fn ha_probe() -> HaProbe {
     use recharge_dynamo::{Controller, ControllerConfig, InMemoryBus};
@@ -1059,7 +1082,7 @@ fn ha_probe() -> HaProbe {
         chaos_clean,
         ok: identical
             && chaos_clean
-            && overhead_frac < HA_OVERHEAD_GATE
+            && snapshot_ns <= SNAPSHOT_BUDGET_NS
             && failovers == 1
             && failover_ticks > 0.0
             && failover_ticks <= failover_budget_ticks as f64,
@@ -1081,7 +1104,7 @@ impl HaProbe {
             "  \"replication_overhead_frac\": {:.9},",
             self.overhead_frac
         );
-        let _ = writeln!(json, "  \"overhead_gate\": {HA_OVERHEAD_GATE},");
+        let _ = writeln!(json, "  \"snapshot_budget_ns\": {SNAPSHOT_BUDGET_NS},");
         let _ = writeln!(json, "  \"failover_ticks\": {:.3},", self.failover_ticks);
         let _ = writeln!(
             json,
@@ -1095,7 +1118,8 @@ impl HaProbe {
         let _ = writeln!(json, "}}");
         std::fs::write(out_dir.join("BENCH_ha.json"), json)?;
         println!(
-            "ha: snapshot {:.1} ns / restore {:.1} ns ({} B), replication overhead \
+            "ha: snapshot {:.1} ns (budget {SNAPSHOT_BUDGET_NS} ns) / restore {:.1} ns ({} B), \
+             replication overhead \
              {:.5}% of a tick, failover {:.0}/{} ticks, identical: {}, chaos clean: {}, \
              pass: {}",
             self.snapshot_ns,
@@ -1192,7 +1216,7 @@ fn main() -> ExitCode {
     summary.push(
         "telemetry",
         probe.ok,
-        format!("\"disabled_overhead_frac\": {:.9}", probe.overhead_frac),
+        format!("\"disabled_per_op_ns\": {:.3}", probe.per_op_ns),
     );
 
     let obs = obs_probe();
@@ -1204,7 +1228,7 @@ fn main() -> ExitCode {
     summary.push(
         "obs",
         obs.ok,
-        format!("\"recorder_overhead_frac\": {:.9}", obs.overhead_frac),
+        format!("\"per_event_ns\": {:.3}", obs.per_event_ns),
     );
 
     let net = net_probe();
@@ -1279,8 +1303,8 @@ fn main() -> ExitCode {
         "ha",
         ha.ok,
         format!(
-            "\"replication_overhead_frac\": {:.9}, \"failover_ticks\": {:.3}",
-            ha.overhead_frac, ha.failover_ticks
+            "\"snapshot_ns\": {:.3}, \"failover_ticks\": {:.3}",
+            ha.snapshot_ns, ha.failover_ticks
         ),
     );
 

@@ -201,7 +201,8 @@ impl FromStr for FleetBackendKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recharge_units::Priority;
+    use crate::{Controller, ControllerConfig, Strategy};
+    use recharge_units::{DeviceId, Priority};
 
     fn agents(n: u32) -> Vec<SimRackAgent> {
         (0..n)
@@ -266,6 +267,41 @@ mod tests {
         );
         for accepted in ACCEPTED {
             assert!(accepted.parse::<FleetBackendKind>().is_ok(), "{accepted}");
+        }
+    }
+
+    #[test]
+    fn controller_gather_equals_a_fleet_read_taken_before_the_tick() {
+        // The simulator reuses `Controller::last_readings` in place of
+        // `readings()` on in-process backends. Across ticks that send
+        // overrides and cap servers, the gather must equal a fleet read
+        // taken just before the tick, rack for rack in fleet order.
+        for kind in [FleetBackendKind::Serial, FleetBackendKind::Soa] {
+            let mut backend = kind.build(agents(3));
+            let load = |_: RackId, _: usize| Watts::from_kilowatts(6.0);
+            let dt = Seconds::new(1.0);
+            backend.step_schedule(dt, &[false; 60], &load);
+            // Below IT load plus the 1 A fleet floor: capping is inevitable.
+            let config = ControllerConfig::new(DeviceId::new(0), Watts::from_kilowatts(18.5));
+            let mut controller = Controller::new(config, Strategy::PriorityAware);
+            let mut commanded_and_capped = false;
+            for s in 0..30 {
+                backend.step_schedule(dt, &[true], &load);
+                let before = backend.readings();
+                let report =
+                    controller.tick(SimTime::from_secs(61.0 + f64::from(s)), backend.bus_mut());
+                assert_eq!(
+                    controller.last_readings(),
+                    before.as_slice(),
+                    "{kind} tick {s}"
+                );
+                commanded_and_capped |=
+                    report.overrides_sent > 0 && report.cap_requested > Watts::ZERO;
+            }
+            assert!(
+                commanded_and_capped,
+                "{kind}: no tick both sent overrides and capped servers"
+            );
         }
     }
 }

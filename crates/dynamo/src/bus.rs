@@ -1,8 +1,6 @@
 //! The controller → agent request path.
 
-use std::collections::HashSet;
-
-use recharge_units::{Amperes, RackId, Watts};
+use recharge_units::{Amperes, RackId, RackSet, Watts};
 
 use crate::agent::RackAgent;
 use crate::messages::PowerReading;
@@ -59,7 +57,7 @@ pub struct InMemoryBus<A> {
     /// Racks that stop answering reads (failure injection). A set, not a
     /// list: `read` consults it on every controller tick for every rack, so
     /// membership must not cost O(disconnected).
-    unreachable: HashSet<RackId>,
+    unreachable: RackSet,
 }
 
 impl<A: RackAgent> InMemoryBus<A> {
@@ -68,7 +66,7 @@ impl<A: RackAgent> InMemoryBus<A> {
     pub fn new(agents: Vec<A>) -> Self {
         InMemoryBus {
             agents,
-            unreachable: HashSet::new(),
+            unreachable: RackSet::default(),
         }
     }
 

@@ -1,13 +1,13 @@
 //! The Dynamo controller protecting one circuit breaker.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use recharge_core::{
     assign_global, assign_priority_aware_indexed, throttle_on_overload_indexed, ChargeAssignment,
     ChargeIndex, RechargePowerModel, SlaCurrentPolicy,
 };
 use recharge_telemetry::{flight, tcounter, tspan, FlightKind, ReasonCode, NO_BUCKET};
-use recharge_units::{Amperes, DeviceId, Dod, Priority, RackId, SimTime, Watts};
+use recharge_units::{Amperes, DeviceId, Dod, Priority, RackId, RackMap, RackSet, SimTime, Watts};
 
 use crate::bus::AgentBus;
 use crate::capping::{plan_caps, plan_uncaps};
@@ -220,13 +220,13 @@ pub struct Controller {
     config: ControllerConfig,
     strategy: Strategy,
     index: ChargeIndex,
-    parked: HashMap<RackId, ParkedCharge>,
+    parked: RackMap<ParkedCharge>,
     /// The gather buffer, reused across ticks.
     readings: Vec<PowerReading>,
     /// The racks charging or discharging this tick, reused across ticks. A
     /// set rather than a vector indexed by rack id: ids can arrive off the
     /// wire, and must not size an allocation.
-    active: HashSet<RackId>,
+    active: RackSet,
 }
 
 impl Controller {
@@ -237,10 +237,18 @@ impl Controller {
             config,
             strategy,
             index: ChargeIndex::new(),
-            parked: HashMap::new(),
+            parked: RackMap::default(),
             readings: Vec::new(),
-            active: HashSet::new(),
+            active: RackSet::default(),
         }
+    }
+
+    /// The readings the last [`tick`](Self::tick) gathered, in bus order
+    /// (restricted to the scope, if one is set). They were taken before that
+    /// tick sent any command. Empty before the first tick.
+    #[must_use]
+    pub fn last_readings(&self) -> &[PowerReading] {
+        &self.readings
     }
 
     /// Racks whose charging is currently postponed.

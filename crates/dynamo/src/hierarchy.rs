@@ -9,11 +9,11 @@
 //! when power is constrained at exactly one level (the paper's §V-B MSB
 //! experiments); this module handles constraints at multiple levels at once.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use recharge_core::ChargeIndex;
 use recharge_power::{DeviceKind, Topology};
-use recharge_units::{Amperes, DeviceId, RackId, SimTime, Watts};
+use recharge_units::{Amperes, DeviceId, RackId, RackMap, RackSet, SimTime, Watts};
 
 use crate::bus::AgentBus;
 use crate::capping::plan_caps;
@@ -39,7 +39,7 @@ pub struct UpperMonitor {
     device: DeviceId,
     limit: Watts,
     racks: Vec<RackId>,
-    forced_minimum: HashSet<RackId>,
+    forced_minimum: RackSet,
     index: ChargeIndex,
     max_cap_fraction: f64,
 }
@@ -52,7 +52,7 @@ impl UpperMonitor {
             device,
             limit,
             racks,
-            forced_minimum: HashSet::new(),
+            forced_minimum: RackSet::default(),
             index: ChargeIndex::new(),
             max_cap_fraction: 0.4,
         }
@@ -99,7 +99,7 @@ impl UpperMonitor {
         }
         if self.index.len() > charging {
             // Unreachable racks disappeared from the readings entirely.
-            let present: HashSet<RackId> = readings.iter().map(|r| r.rack).collect();
+            let present: RackSet = readings.iter().map(|r| r.rack).collect();
             let gone: Vec<RackId> = self
                 .index
                 .charge_order()
@@ -140,8 +140,7 @@ impl UpperMonitor {
             end = start;
         }
 
-        let by_rack: HashMap<RackId, &PowerReading> =
-            readings.iter().map(|r| (r.rack, r)).collect();
+        let by_rack: RackMap<&PowerReading> = readings.iter().map(|r| (r.rack, r)).collect();
         let floor = Watts::new(375.0); // ≈1 A rack draw; shed estimate only
         for i in order {
             if overload <= Watts::ZERO {

@@ -31,12 +31,10 @@
 //! bit 6    input power present
 //! ```
 
-use std::collections::HashMap;
-
 use recharge_battery::kernel;
 use recharge_battery::{BbuParams, BbuState, ChargePhase, ChargePolicy};
 use recharge_telemetry::{flight, tcounter, tspan, FlightKind, ReasonCode, NO_BUCKET};
-use recharge_units::{Amperes, Dod, Priority, RackId, Seconds, Soc, Watts};
+use recharge_units::{Amperes, Dod, Priority, RackId, RackMap, Seconds, Soc, Watts};
 
 use crate::agent::{RackAgent, SimRackAgent};
 use crate::backend::FleetBackend;
@@ -425,7 +423,7 @@ pub struct SoaBackend {
     /// homogeneous-group partition reshuffled racks across shards.
     order: Vec<(usize, usize)>,
     /// rack → (shard, slot); commands and reads route through here.
-    index: HashMap<RackId, (usize, usize)>,
+    index: RackMap<(usize, usize)>,
     scheduler: EventScheduler<FleetEvent>,
     /// The fleet-wide input power as of the last processed edge. Safe to
     /// start `true`: every rack begins awake, and a rack only sleeps after
@@ -469,7 +467,7 @@ impl SoaBackend {
 
         let mut shards = Vec::with_capacity(groups.len());
         let mut order = vec![(0usize, 0usize); agents.len()];
-        let mut index = HashMap::with_capacity(agents.len());
+        let mut index = RackMap::with_capacity_and_hasher(agents.len(), Default::default());
         for (s, (params, policy, members)) in groups.iter().enumerate() {
             let refs: Vec<&SimRackAgent> = members.iter().map(|&pos| &agents[pos]).collect();
             shards.push(SoaShard::from_agents(&refs, *params, *policy));

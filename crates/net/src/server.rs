@@ -30,7 +30,6 @@
 //! listener: one accept thread, one handler thread per connection, all
 //! plain blocking I/O with short poll timeouts so shutdown is prompt.
 
-use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -41,7 +40,7 @@ use recharge_dynamo::{AgentBus, Controller, PowerReading, RackAgent};
 use recharge_telemetry::{
     flight_at, tcounter, tevent, tspan, FlightKind, ReasonCode, NO_BUCKET, NO_RACK,
 };
-use recharge_units::{Amperes, RackId, Watts};
+use recharge_units::{Amperes, RackId, RackMap, Watts};
 
 use crate::endpoint::{
     recv_frame, send_frame, Endpoint, FrameBuffer, FrameRead, NetListener, NetStream,
@@ -92,7 +91,7 @@ struct HostState<A> {
 /// controller ticks against, so leaf control never touches the wire.
 struct LeafBus<'a, A> {
     agents: &'a mut [A],
-    index_of: &'a HashMap<RackId, usize>,
+    index_of: &'a RackMap<usize>,
     racks: &'a [RackId],
 }
 
@@ -144,7 +143,7 @@ impl<A: RackAgent> AgentBus for LeafBus<'_, A> {
 /// mid-step.
 pub struct AgentHost<A> {
     state: Mutex<HostState<A>>,
-    index_of: HashMap<RackId, usize>,
+    index_of: RackMap<usize>,
     racks: Vec<RackId>,
     clock: FaultClock,
     lease_ticks: u64,

@@ -37,7 +37,6 @@
 //! [`RpcMeshConfig::leaf_control`]: crate::backend::RpcMeshConfig
 //! [`InMemoryBus`]: recharge_dynamo::InMemoryBus
 
-use std::collections::HashMap;
 use std::io;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -48,7 +47,7 @@ use recharge_dynamo::{
     AgentBus, Controller, ControllerConfig, FleetBackend, HostedControlReport, PowerReading,
     RackAgent, SimRackAgent, Strategy,
 };
-use recharge_units::{Amperes, DeviceId, RackId, Seconds, SimTime, Watts};
+use recharge_units::{Amperes, DeviceId, RackId, RackMap, Seconds, SimTime, Watts};
 
 use crate::backend::RpcMeshConfig;
 use crate::client::{RpcBus, RpcBusConfig};
@@ -151,7 +150,7 @@ impl Drop for ShardWorker {
 struct BusState {
     /// Per-control-tick read cache: the first `read` after invalidation fans
     /// `ReadAllReadings` out to every shard; later reads hit the map.
-    snapshot: Option<HashMap<RackId, PowerReading>>,
+    snapshot: Option<RackMap<PowerReading>>,
     /// Commands buffered per shard, flushed as one batch per shard at the
     /// start of the next `step_schedule`.
     pending: Vec<Vec<AgentCommand>>,
@@ -163,14 +162,14 @@ struct BusState {
 /// batch-flushed (see the module docs for why that preserves bit-identity).
 pub struct ShardedRpcBus {
     workers: Vec<ShardWorker>,
-    shard_of: HashMap<RackId, usize>,
+    shard_of: RackMap<usize>,
     racks: Vec<RackId>,
     state: Mutex<BusState>,
 }
 
 impl ShardedRpcBus {
     fn new(workers: Vec<ShardWorker>, groups: &[Vec<RackId>]) -> Self {
-        let mut shard_of = HashMap::new();
+        let mut shard_of = RackMap::default();
         let mut racks = Vec::new();
         for (shard, group) in groups.iter().enumerate() {
             for &rack in group {
@@ -207,7 +206,7 @@ impl ShardedRpcBus {
 
     /// Fans `ReadAllReadings` out to every shard and joins on the replies —
     /// the latch making per-tick latency max-over-shards.
-    fn fan_out_reads(&self) -> HashMap<RackId, PowerReading> {
+    fn fan_out_reads(&self) -> RackMap<PowerReading> {
         let replies: Vec<Option<Receiver<Option<Vec<PowerReading>>>>> = self
             .workers
             .iter()
@@ -216,7 +215,7 @@ impl ShardedRpcBus {
                 worker.submit(Job::ReadAll(tx)).then_some(rx)
             })
             .collect();
-        let mut snapshot = HashMap::with_capacity(self.racks.len());
+        let mut snapshot = RackMap::with_capacity_and_hasher(self.racks.len(), Default::default());
         for reply in replies.into_iter().flatten() {
             if let Ok(Some(readings)) = reply.recv() {
                 for reading in readings {

@@ -1,7 +1,9 @@
 //! The tick loop: trace → agents → controller → breaker → metrics.
 
 use recharge_core::{ChargeIndex, SlaTable};
-use recharge_dynamo::{Controller, ControllerConfig, EventScheduler, FleetBackend, SimRackAgent};
+use recharge_dynamo::{
+    Controller, ControllerConfig, EventScheduler, FleetBackend, PowerReading, SimRackAgent,
+};
 use recharge_power::{Breaker, BreakerStatus};
 use recharge_telemetry::{flight, tcounter, tgauge, tspan, FlightKind, ReasonCode};
 use recharge_trace::{LoadInstant, RackPowerTrace, SyntheticFleet};
@@ -155,10 +157,19 @@ impl FleetSimulation {
         let mut max_capped = Watts::ZERO;
         let mut it_before_ot = Watts::ZERO;
         let mut tripped = false;
-        // One open charge track per fleet slot: `readings()` lists every
-        // rack in fleet order, so slot `i` is always the same rack.
+        // One open charge track per fleet slot: the readings list every rack
+        // in fleet order, so slot `i` is always the same rack.
         let mut tracks: Vec<Option<ChargeTrack>> = vec![None; rack_count];
         let mut outcomes: Vec<RackSlaOutcome> = Vec::new();
+
+        // Who reads the fleet for the bookkeeping. On the plain in-process
+        // controller path the sim reuses the readings the controller just
+        // gathered: in-process buses hand over exactly `readings()`, every
+        // rack in fleet order. Every other path reads the backend itself:
+        // over the RPC mesh the controller's view may differ from the host's
+        // truth, an HA set may have no leader, and unmitigated or
+        // leaf-hosted ticks run no local controller (DESIGN.md §18).
+        let reuse_gather = self.mitigated && ha_set.is_none() && self.scenario.rpc.is_none();
 
         // Between two controller interventions the run performs
         // `control_every` physical sub-steps. The schedule — per-sub-step
@@ -204,19 +215,32 @@ impl FleetSimulation {
             backend.step_schedule(tick, &input_power, &|rack, i| {
                 self.fleet.rack_power_at(rack, &instants[i])
             });
-            let readings = backend.readings();
-            assert_eq!(
-                readings.len(),
-                rack_count,
-                "a fleet backend must report every rack in fleet order"
-            );
 
-            // Control plane (or raw aggregation when unmitigated). A backend
-            // hosting the leaf tier (sharded mesh with in-server leaf
-            // control) runs the control tick itself — only aggregates come
-            // back — otherwise the simulator's own controller drives the bus.
-            let (it_load, recharge, capped) = if self.mitigated {
-                if let Some(report) = backend.hosted_control_tick(now) {
+            // Control plane (or raw aggregation when unmitigated), and the
+            // fleet's telemetry for the bookkeeping below, taken before any
+            // command.
+            let fleet_read: Vec<PowerReading>;
+            let (it_load, recharge, capped, readings) = if reuse_gather {
+                let report = controller.tick(now, backend.bus_mut());
+                let readings = controller.last_readings();
+                (
+                    report.it_load,
+                    report.recharge_power,
+                    report.capped_power,
+                    readings,
+                )
+            } else {
+                fleet_read = {
+                    let _readings_span = tspan!("sim.readings", "sim");
+                    backend.readings()
+                };
+                // A backend hosting the leaf tier (sharded mesh with
+                // in-server leaf control) runs the control tick itself —
+                // only aggregates come back — otherwise the simulator's own
+                // controller (or HA set) drives the bus.
+                let (it, re, cap) = if !self.mitigated {
+                    monitor_only(&fleet_read)
+                } else if let Some(report) = backend.hosted_control_tick(now) {
                     (report.it_load, report.recharge_power, report.capped_power)
                 } else if let Some(set) = ha_set.as_mut() {
                     // The interval ends at sim tick (due + 1) * control_every;
@@ -226,36 +250,22 @@ impl FleetSimulation {
                         Some(report) => {
                             (report.it_load, report.recharge_power, report.capped_power)
                         }
-                        None => {
-                            // Leaderless gap: nobody may command, so this
-                            // interval degrades to monitoring-only
-                            // aggregation, exactly like an unmitigated tick.
-                            let mut it = Watts::ZERO;
-                            let mut re = Watts::ZERO;
-                            for reading in &readings {
-                                if reading.input_power_present {
-                                    it += reading.it_load;
-                                    re += reading.recharge_power;
-                                }
-                            }
-                            (it, re, Watts::ZERO)
-                        }
+                        // Leaderless gap: nobody may command, so this
+                        // interval degrades to monitoring-only aggregation,
+                        // exactly like an unmitigated tick.
+                        None => monitor_only(&fleet_read),
                     }
                 } else {
                     let report = controller.tick(now, backend.bus_mut());
                     (report.it_load, report.recharge_power, report.capped_power)
-                }
-            } else {
-                let mut it = Watts::ZERO;
-                let mut re = Watts::ZERO;
-                for reading in &readings {
-                    if reading.input_power_present {
-                        it += reading.it_load;
-                        re += reading.recharge_power;
-                    }
-                }
-                (it, re, Watts::ZERO)
+                };
+                (it, re, cap, fleet_read.as_slice())
             };
+            assert_eq!(
+                readings.len(),
+                rack_count,
+                "a fleet backend must report every rack in fleet order"
+            );
             let total = it_load + recharge;
 
             if breaker.observe(total, now) == BreakerStatus::Tripped {
@@ -292,8 +302,9 @@ impl FleetSimulation {
             // Track charge starts and completions from the telemetry the
             // control plane itself sees, so the bookkeeping is identical
             // across backends.
+            let bookkeeping_span = tspan!("sim.bookkeeping", "sim");
             let mut all_settled = true;
-            for (slot, reading) in tracks.iter_mut().zip(&readings) {
+            for (slot, reading) in tracks.iter_mut().zip(readings) {
                 match reading.bbu_state {
                     recharge_battery::BbuState::Charging => {
                         all_settled = false;
@@ -336,6 +347,7 @@ impl FleetSimulation {
                     _ => all_settled = false,
                 }
             }
+            drop(bookkeeping_span);
 
             t = t_sub;
             if tripped || (t >= ot_end + Seconds::new(60.0) && all_settled) || t >= hard_end {
@@ -384,6 +396,20 @@ impl FleetSimulation {
             ot_duration,
         }
     }
+}
+
+/// Monitoring-only aggregation: the IT and recharge draw of the racks on
+/// utility power, with nothing capped.
+fn monitor_only(readings: &[PowerReading]) -> (Watts, Watts, Watts) {
+    let mut it = Watts::ZERO;
+    let mut re = Watts::ZERO;
+    for reading in readings {
+        if reading.input_power_present {
+            it += reading.it_load;
+            re += reading.recharge_power;
+        }
+    }
+    (it, re, Watts::ZERO)
 }
 
 #[cfg(test)]

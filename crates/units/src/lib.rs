@@ -29,6 +29,7 @@
 mod electrical;
 mod energy;
 mod fraction;
+mod hash;
 mod ids;
 mod macros;
 mod power;
@@ -38,6 +39,7 @@ mod time;
 pub use electrical::{AmpereHours, Amperes, Coulombs, Ohms, Volts};
 pub use energy::Joules;
 pub use fraction::{Dod, Fraction, Soc};
+pub use hash::{RackHasher, RackMap, RackSet};
 pub use ids::{BbuId, DeviceId, RackId};
 pub use power::Watts;
 pub use priority::{ParsePriorityError, Priority};
